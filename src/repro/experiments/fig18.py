@@ -52,7 +52,6 @@ from repro.glare.model import ActivityDeployment, DeploymentKind, DeploymentStat
 from repro.glare.rdm import RDM_SERVICE
 from repro.load import (
     CohortInjector,
-    LatencyDigest,
     NHPoissonProcess,
     OpenLoopDriver,
     PoissonProcess,
@@ -62,6 +61,7 @@ from repro.load import (
     arrival_stream,
 )
 from repro.load.stats import CommutativeDigest
+from repro.obs.metrics import Histogram
 from repro.vo import build_vo
 
 #: op classes and their share of open-loop traffic
@@ -438,7 +438,7 @@ def run_fig18_flash(
         s = stats[name]
         span = end - max(start, warmup)
         hot_key = f"{name}|hot"
-        hot_digest = s.ops[hot_key].latency if hot_key in s.ops else LatencyDigest()
+        hot_digest = s.ops[hot_key].latency if hot_key in s.ops else Histogram()
         bg_resolve = s.ops.get(f"{name}|resolve")
         out_phases[name] = {
             "arrivals": s.offered,
@@ -518,7 +518,7 @@ def run_fig18_wave(
     gaps = rng.exponential(span / max(len(units), 1), len(units))
     times = np.cumsum(gaps)
 
-    ttr = LatencyDigest()
+    ttr = Histogram()
     statuses: Dict[str, int] = {}
     digest = CommutativeDigest()
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional
 
 from repro.glare.model import ActivityType
-from repro.load.stats import LatencyDigest
 from repro.net.network import RpcTimeout
+from repro.obs.metrics import Histogram
 from repro.simkernel import Simulator
 from repro.simkernel.errors import Interrupt, OfflineError
 from repro.wsrf.xmldoc import Element
@@ -56,14 +56,14 @@ class ClientStats:
     same left-to-right float additions ``sum(list)`` performed, so
     ``mean_response`` stays *bit-identical* to the list-based
     implementation (the perf fingerprints pin ``repr`` of fig10 means).
-    The `repro.load` histogram adds percentiles at fixed size.
+    The latency histogram adds percentiles at fixed size.
     """
 
     completed: int = 0
     failed: int = 0
     observations: int = 0
     response_total: float = 0.0
-    latency: LatencyDigest = field(default_factory=LatencyDigest)
+    latency: Histogram = field(default_factory=Histogram)
 
     def observe(self, seconds: float) -> None:
         """Record one measured response time."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional
 
 from repro.glare.model import ActivityDeployment, ActivityType
-from repro.net.network import RpcTimeout
+from repro.net.network import RetryPolicy, RpcTimeout
 from repro.simkernel.errors import OfflineError
 
 
@@ -53,9 +53,9 @@ class ResourceBroker:
     def site_load(self, site: str) -> Generator:
         """Live load snapshot of ``site`` (None when unreachable)."""
         try:
-            info = yield from self.vo.network.call_with_timeout(
+            info = yield from self.vo.network.call(
                 self.home_site, site, "glare-rdm", "site_load",
-                timeout=self.probe_timeout,
+                retry=RetryPolicy.single(self.probe_timeout),
             )
             self.probes += 1
             return info

@@ -25,7 +25,7 @@ from .arrivals import (
 )
 from .inject import CohortInjector, NaiveInjector, quantize_ticks
 from .mixer import OpenLoopDriver, TrafficMix
-from .stats import CommutativeDigest, LatencyDigest, OpStats, StreamStats
+from .stats import CommutativeDigest, OpStats, StreamStats
 
 __all__ = [
     "arrival_stream",
@@ -40,7 +40,6 @@ __all__ = [
     "quantize_ticks",
     "TrafficMix",
     "OpenLoopDriver",
-    "LatencyDigest",
     "OpStats",
     "StreamStats",
     "CommutativeDigest",

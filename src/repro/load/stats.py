@@ -3,17 +3,11 @@
 A million-arrival run must not hold a million response times.  This
 module measures in O(1) memory per op class:
 
-``LatencyDigest``
-    A fixed-size log-scale histogram over the ``repro.obs`` bucket
-    bounds (``HISTOGRAM_BOUNDS``: 10 us doubling to ~87,000 s, plus
-    overflow) with count/min/max and an *integer-nanosecond* running
-    total.  Integer addition is exact and commutative, so the mean —
-    and therefore the digest fingerprint — is identical no matter how
-    per-worker shards are merged.  Percentiles use the same
-    bucket-upper-bound algorithm as ``repro.obs.metrics.Histogram``.
-
 ``StreamStats``
-    Per-op digests plus per-outcome counters and coarse per-window
+    Per-op latency histograms (``repro.obs.metrics.Histogram``: a
+    fixed-size log-scale grid with an *integer-nanosecond* running
+    total, so merged shards give an identical mean and fingerprint)
+    plus per-outcome counters and coarse per-window
     goodput/shed/timeout counts (keyed by ``int(t // window)``, so the
     window table grows with the horizon, never with the arrival
     count).
@@ -32,120 +26,21 @@ affecting any reported number.
 from __future__ import annotations
 
 import hashlib
-import math
 import sys
-from bisect import bisect_left
 from typing import Dict, Iterable, List, Tuple
 
-from repro.obs.metrics import HISTOGRAM_BOUNDS
+from repro.obs.metrics import Histogram
 
-__all__ = ["LatencyDigest", "OpStats", "StreamStats", "CommutativeDigest"]
+__all__ = ["OpStats", "StreamStats", "CommutativeDigest"]
 
-_NS_PER_SECOND = 1_000_000_000
 _DIGEST_MASK = (1 << 128) - 1
 
 #: outcome slots in each window's counter row
 _WIN_OK, _WIN_SHED, _WIN_TIMEOUT, _WIN_FAILED = range(4)
 
 
-class LatencyDigest:
-    """Fixed-size log-scale latency histogram with exact integer total."""
-
-    __slots__ = ("counts", "count", "total_ns", "min", "max")
-
-    def __init__(self) -> None:
-        self.counts = [0] * (len(HISTOGRAM_BOUNDS) + 1)
-        self.count = 0
-        self.total_ns = 0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def observe(self, seconds: float) -> None:
-        self.counts[bisect_left(HISTOGRAM_BOUNDS, seconds)] += 1
-        self.count += 1
-        self.total_ns += round(seconds * _NS_PER_SECOND)
-        if seconds < self.min:
-            self.min = seconds
-        if seconds > self.max:
-            self.max = seconds
-
-    def merge(self, other: "LatencyDigest") -> None:
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.count += other.count
-        self.total_ns += other.total_ns
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            return 0.0
-        return self.total_ns / self.count / _NS_PER_SECOND
-
-    def percentile(self, q: float) -> float:
-        """Approximate ``q``-quantile (``0 < q <= 1``) in seconds.
-
-        Same algorithm as ``repro.obs.metrics.Histogram.percentile``:
-        the crossing bucket's upper bound clamped to observed min/max.
-        """
-        if self.count == 0:
-            return 0.0
-        target = max(1, math.ceil(q * self.count))
-        cumulative = 0
-        for index, bucket_count in enumerate(self.counts):
-            cumulative += bucket_count
-            if cumulative >= target:
-                if index >= len(HISTOGRAM_BOUNDS):  # overflow bucket
-                    return self.max
-                return min(max(HISTOGRAM_BOUNDS[index], self.min), self.max)
-        return self.max  # pragma: no cover - unreachable
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(0.50)
-
-    @property
-    def p90(self) -> float:
-        return self.percentile(0.90)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(0.99)
-
-    @property
-    def p999(self) -> float:
-        return self.percentile(0.999)
-
-    def fingerprint(self) -> str:
-        """Merge-order-independent digest of the full histogram state."""
-        payload = "|".join(
-            (
-                str(self.count),
-                str(self.total_ns),
-                repr(self.min),
-                repr(self.max),
-                ",".join(str(c) for c in self.counts),
-            )
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean_ms": self.mean * 1000.0,
-            "p50_ms": self.p50 * 1000.0,
-            "p90_ms": self.p90 * 1000.0,
-            "p99_ms": self.p99 * 1000.0,
-            "p999_ms": self.p999 * 1000.0,
-            "max_ms": (self.max if self.count else 0.0) * 1000.0,
-        }
-
-
 class OpStats:
-    """Outcome counters + latency digest for one op class."""
+    """Outcome counters + latency histogram for one op class."""
 
     __slots__ = ("completed", "shed", "timeouts", "failed", "latency")
 
@@ -154,7 +49,7 @@ class OpStats:
         self.shed = 0
         self.timeouts = 0
         self.failed = 0
-        self.latency = LatencyDigest()
+        self.latency = Histogram()
 
     @property
     def offered(self) -> int:

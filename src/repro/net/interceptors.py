@@ -237,7 +237,7 @@ class RetryPolicy:
     One object describes everything a call site used to hand-roll:
     attempt count, per-attempt timeout, backoff shape, deterministic
     jitter and a total deadline budget.  ``RetryPolicy.single(t)`` is
-    byte-identical to the legacy ``call_with_timeout(timeout=t)``.
+    one attempt abandoned after ``t`` seconds.
 
     Attributes
     ----------
@@ -275,7 +275,7 @@ class RetryPolicy:
 
     @classmethod
     def single(cls, timeout: float) -> "RetryPolicy":
-        """One attempt with a deadline — the old ``call_with_timeout``."""
+        """One attempt abandoned after ``timeout`` (raises ``RpcTimeout``)."""
         return cls(attempts=1, per_try_timeout=timeout)
 
     @property

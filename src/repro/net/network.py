@@ -593,32 +593,6 @@ class Network:
         src_node.messages_in += 1
         src_node.bytes_in += response.size
 
-    def call_with_timeout(
-        self,
-        src: str,
-        dst: str,
-        service: str,
-        method: str,
-        payload: Any = None,
-        size: int = 0,
-        timeout: float = 10.0,
-        security: Optional[SecurityPolicy] = None,
-        retry: Optional[RetryPolicy] = None,
-    ) -> Generator:
-        """Like :meth:`call` but abandons the call after ``timeout``.
-
-        Raises :class:`RpcTimeout` when the deadline passes first.
-        Sugar for ``call(..., retry=RetryPolicy.single(timeout))``; a
-        ``retry`` policy without a per-attempt timeout inherits
-        ``timeout`` per attempt.
-        """
-        policy = retry if retry is not None else RetryPolicy.single(timeout)
-        value = yield from self.call(
-            src, dst, service, method, payload=payload, size=size,
-            security=security, retry=policy.with_per_try(timeout),
-        )
-        return value
-
 
 def payload_size(payload: Any) -> int:
     """Public re-export of the size estimator (see :mod:`repro.net.message`)."""

@@ -5,7 +5,8 @@ subsystem writes to.  Three instrument families:
 
 * :class:`Counter` — monotonic event counts (RPC calls, cache hits);
 * :class:`Histogram` — latency distributions over fixed log-scale
-  buckets with approximate p50/p95/p99 accessors;
+  buckets with approximate percentile accessors, mergeable across
+  shards (the open-loop workload plane keeps one per op class);
 * :class:`TimeSeries` — gauge samples over simulated time, fed by the
   :class:`MetricsRecorder` process (per-site load average, run-queue
   depth, MDS worker-pool occupancy, cache sizes, in-flight requests).
@@ -23,6 +24,7 @@ shared null instrument whose mutators are no-ops.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from bisect import bisect_left
 from typing import (
@@ -46,6 +48,8 @@ LabelKey = Tuple[Tuple[str, str], ...]
 #: fixed log-scale histogram bucket upper bounds: 10 us doubling up to
 #: ~87,000 s (34 buckets), plus an implicit overflow bucket
 HISTOGRAM_BOUNDS: Tuple[float, ...] = tuple(1e-5 * 2.0 ** i for i in range(34))
+
+_NS_PER_SECOND = 1_000_000_000
 
 
 def _label_key(labels: Dict[str, Any]) -> LabelKey:
@@ -74,31 +78,50 @@ class Histogram:
     Percentiles are approximate: the answer is the upper bound of the
     bucket where the cumulative count crosses the requested quantile,
     clamped to the observed min/max so tiny samples stay sensible.
+
+    The running total is kept in integer nanoseconds.  Integer addition
+    is exact and commutative, so :meth:`merge` gives the same mean —
+    and the same :meth:`fingerprint` — no matter how per-worker shards
+    are folded.  The fixed-size state is what lets the open-loop
+    workload plane keep one histogram per op class in O(1) memory.
     """
 
-    __slots__ = ("name", "labels", "counts", "count", "total", "min", "max")
+    __slots__ = ("name", "labels", "counts", "count", "total_ns", "min", "max")
 
-    def __init__(self, name: str, labels: LabelKey) -> None:
+    def __init__(self, name: str = "", labels: LabelKey = ()) -> None:
         self.name = name
         self.labels = labels
         self.counts = [0] * (len(HISTOGRAM_BOUNDS) + 1)
         self.count = 0
-        self.total = 0.0
+        self.total_ns = 0
         self.min = math.inf
         self.max = -math.inf
 
     def observe(self, value: float) -> None:
         self.counts[bisect_left(HISTOGRAM_BOUNDS, value)] += 1
         self.count += 1
-        self.total += value
+        self.total_ns += round(value * _NS_PER_SECOND)
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
 
+    def merge(self, other: "Histogram") -> None:
+        """Fold ``other`` in (exact, commutative)."""
+        for i, c in enumerate(other.counts):
+            self.counts[i] += c
+        self.count += other.count
+        self.total_ns += other.total_ns
+        if other.min < self.min:
+            self.min = other.min
+        if other.max > self.max:
+            self.max = other.max
+
     @property
     def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+        if self.count == 0:
+            return 0.0
+        return self.total_ns / self.count / _NS_PER_SECOND
 
     def percentile(self, q: float) -> float:
         """Approximate ``q``-quantile (``0 < q <= 1``) in seconds."""
@@ -119,12 +142,44 @@ class Histogram:
         return self.percentile(0.50)
 
     @property
+    def p90(self) -> float:
+        return self.percentile(0.90)
+
+    @property
     def p95(self) -> float:
         return self.percentile(0.95)
 
     @property
     def p99(self) -> float:
         return self.percentile(0.99)
+
+    @property
+    def p999(self) -> float:
+        return self.percentile(0.999)
+
+    def fingerprint(self) -> str:
+        """Merge-order-independent digest of the full histogram state."""
+        payload = "|".join(
+            (
+                str(self.count),
+                str(self.total_ns),
+                repr(self.min),
+                repr(self.max),
+                ",".join(str(c) for c in self.counts),
+            )
+        )
+        return hashlib.sha256(payload.encode()).hexdigest()
+
+    def to_dict(self) -> Dict[str, float]:
+        return {
+            "count": self.count,
+            "mean_ms": self.mean * 1000.0,
+            "p50_ms": self.p50 * 1000.0,
+            "p90_ms": self.p90 * 1000.0,
+            "p99_ms": self.p99 * 1000.0,
+            "p999_ms": self.p999 * 1000.0,
+            "max_ms": (self.max if self.count else 0.0) * 1000.0,
+        }
 
 
 class TimeSeries:
@@ -163,7 +218,7 @@ class _NullInstrument:
     labels: LabelKey = ()
     value = 0
     count = 0
-    total = 0.0
+    total_ns = 0
     mean = 0.0
     p50 = p95 = p99 = 0.0
     samples: List[Tuple[float, float]] = []

@@ -14,7 +14,7 @@ span" would attribute work to the wrong request.  The tracer therefore
 keys its active-span table by the kernel's *active process* and hooks
 process creation (:attr:`Simulator.spawn_observer`) so a freshly
 spawned process inherits the spawner's span — this is what stitches
-RPC fan-outs, ``call_with_timeout`` runner processes and detached GRAM
+RPC fan-outs, retry-deadline runner processes and detached GRAM
 job bodies into one trace.  For messages that hop between processes the
 transport additionally carries an explicit :class:`TraceContext` in the
 RPC envelope (see :mod:`repro.net.transport`), mirroring how W3C

@@ -1,75 +1,54 @@
-"""Wall-clock performance harness for the simulation fast path.
+"""Wall-clock performance harness: eight fixed-seed suites, one gate table.
 
-The paper's whole evaluation (Figs. 10-13, Table 1) rides on the DES
-inner loop, so wall-clock speed of the kernel bounds how large a VO we
-can simulate.  This module provides fixed-seed microbenchmarks plus
-determinism fingerprints so performance work can be measured *and*
-proven not to change any simulated-time result:
+The paper's evaluation (Figs. 10-13, Table 1) and the fig14-19
+extensions ride on the DES inner loop, so speed work on the simulator
+must be measured *and* proven not to change any simulated result.
+Each suite below runs fixed-seed workloads and returns one dict:
 
-* :func:`bench_kernel_events` — pure kernel event churn (processes
-  yielding timeouts), reported as dispatched events per wall second;
-* :func:`bench_rpc_roundtrips` — the full RPC marshalling/transport
-  path against an echo service, reported as RPCs per wall second;
-* :func:`bench_registry_lookups` — a scaled-down Fig. 10 registry
-  point (named lookups, the hash-table fast path);
-* :func:`bench_index_queries` — a scaled-down Fig. 10 index point
-  (XPath over the aggregated documents);
-* :func:`bench_resolution` / :func:`resolution_fingerprint` — a Fig. 14
-  point pair (broadcast baseline vs scaled resolution path) whose
-  deterministic simulated message counts gate the resolution walk via
-  ``BENCH_resolution.json``;
-* :func:`bench_provisioning` / :func:`provisioning_fingerprint` — a
-  Fig. 15 point pair (serial origin-only rollout vs parallel +
-  replica-aware transfers) whose deterministic simulated rollout times
-  and byte counts gate the provisioning pipeline via
-  ``BENCH_provisioning.json``;
-* :func:`bench_faults` / :func:`faults_fingerprint` — the Fig. 16
-  churn pair (fragile vs resilient under super-peer churn) whose
-  deterministic success rates, takeover latencies and outcome digests
-  gate the fault plane + recovery path via ``BENCH_faults.json``;
-* :func:`bench_storage` / :func:`storage_fingerprint` — the Fig. 17
-  registry-backend pair (flat dict vs consistent-hash shards) whose
-  in-run CPU flatness ratio, placement digests and simulated routing
-  message counts gate the sharded storage layer via
-  ``BENCH_storage.json``;
-* :func:`bench_workload` / :func:`bench_workload_memory` /
-  :func:`workload_fingerprint` — the Fig. 18 open-loop workload plane:
-  arrival-engine throughput (generate + cohort-schedule, the 1M
-  arrivals per wall second gate), memory flatness of the full overload
-  path, and the arrival-trace / overload-outcome digests, gated via
-  ``BENCH_workload.json``;
-* :func:`bench_orchestration` / :func:`orchestration_fingerprint` —
-  the Fig. 19 desired-state control loop: wall-clock cost of the full
-  orchestrated flash crowd (observe → plan → actuate rounds riding a
-  live workload), plus the orchestrated/static outcome digests, the
-  replica trajectory and a pure-planner decision digest, gated via
-  ``BENCH_orchestration.json``;
-* :func:`kernel_trace_fingerprint` / :func:`experiment_fingerprint` —
-  deterministic digests of the seeded event trace and of end-to-end
-  simulated outputs (byte totals, throughputs).  Two runs of the same
-  seed must produce identical fingerprints; the committed golden
-  values in ``tests/`` pin them across refactors.
+* ``results`` — per-benchmark wall seconds, CPU seconds, peak RSS and
+  a headline rate, plus ``details`` (mostly simulated figures);
+* ``fingerprint`` (``determinism`` for the kernel suite) — digests and
+  counts of simulated behaviour that must stay byte-identical.
 
-``benchmarks/bench_wallclock.py`` drives these and emits
-``BENCH_kernel.json``.  Everything here uses only public simulator
-APIs so the harness itself is independent of kernel internals.
+:data:`SUITES` is the one list of gates.  Each row names a suite, its
+committed ``BENCH_<name>.json`` baseline, the ``run(quick)`` callable
+that produces the suite dict, and the typed checks that gate it:
+:class:`Floor`, :class:`Ceiling`, :class:`MaxDrop` / :class:`MaxRise`
+(ratio against the baseline), :class:`MaxIncrease` (additive rise
+against the baseline), :class:`Match` (exact equality with the
+baseline), :class:`Expect` (a fixed value), :class:`Relation` (two
+values of one run) and :class:`SameJobs` (the kernel suite refuses to
+compare rates recorded under a different ``--jobs``).  A check whose
+input is missing from the run or from the baseline fails.
+
+``benchmarks/bench_wallclock.py`` is the CLI over the table::
+
+    python benchmarks/bench_wallclock.py --quick --check-all [--jobs 4] [-o merged.json]
+    python benchmarks/bench_wallclock.py --quick --check-baseline BENCH_faults.json
+    python benchmarks/bench_wallclock.py -o BENCH_kernel.json   # record the kernel suite
+
+Everything here uses only public simulator APIs, so the harness is
+independent of kernel internals.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import re
 import resource as _resource
 import time
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Generator, List, Optional
 
 from repro.net.network import Network
 from repro.net.service import EchoService
 from repro.net.topology import Topology
+from repro.runner import WorkUnit, run_units
 from repro.simkernel import Simulator
 from repro.simkernel.primitives import Resource, Store
 
@@ -78,33 +57,7 @@ from repro.simkernel.primitives import Resource, Store
 _ADDR_RE = re.compile(r"0x[0-9a-f]+")
 
 
-@dataclass
-class BenchResult:
-    """One microbenchmark measurement.
-
-    Besides the wall-clock headline, every benchmark records the CPU
-    time its measured section actually consumed (``cpu_seconds`` — user
-    plus system, via ``time.process_time``) and the process's peak RSS
-    when it finished (``peak_rss_kb``).  Wall/CPU divergence flags a
-    loaded machine (rates untrustworthy); per-benchmark RSS attributes
-    memory growth to the workload that caused it, which the old single
-    suite-level figure could not.  RSS is a process-lifetime high-water
-    mark, so within one process later benchmarks inherit earlier peaks;
-    under ``--jobs`` each benchmark runs in its own worker and the
-    figure is genuinely its own.
-    """
-
-    name: str
-    metric: str  # e.g. "events_per_sec"
-    value: float  # the headline rate
-    wall_seconds: float
-    work_units: int  # events / RPCs / requests completed
-    cpu_seconds: float = 0.0
-    peak_rss_kb: int = 0
-    details: Dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+# -- measurement helpers ---------------------------------------------------
 
 
 def peak_rss_kb() -> int:
@@ -115,7 +68,7 @@ def peak_rss_kb() -> int:
 def current_rss_kb() -> int:
     """Current (not peak) resident set size, in kilobytes.
 
-    The memory-flatness gates need before/after deltas around a single
+    The memory-flatness gate needs before/after deltas around a single
     workload, which the process-lifetime high-water mark of
     :func:`peak_rss_kb` cannot provide.  Falls back to the peak figure
     on platforms without ``/proc``.
@@ -128,12 +81,55 @@ def current_rss_kb() -> int:
         return peak_rss_kb()
 
 
-# -- kernel microbenchmark -------------------------------------------------
+def _timed(fn: Callable, *args: Any, **kwargs: Any) -> Tuple[Any, float, float]:
+    """Call ``fn``; return its value, wall seconds and CPU seconds."""
+    start, cpu_start = time.perf_counter(), time.process_time()
+    value = fn(*args, **kwargs)
+    cpu = time.process_time() - cpu_start
+    return value, time.perf_counter() - start, cpu
+
+
+def bench_result(name: str, metric: str, work_units: int, wall: float,
+                 cpu: float, details: Dict[str, Any],
+                 value: Optional[float] = None) -> Dict[str, Any]:
+    """One benchmark measurement as a ``results`` entry.
+
+    The headline ``value`` defaults to work units per wall second.
+    Beside it every benchmark records the CPU time its measured
+    section consumed (wall/CPU divergence flags a loaded machine) and
+    the process's peak RSS when it finished.  RSS is a process-lifetime
+    high-water mark, so within one process later benchmarks inherit
+    earlier peaks; under ``--jobs`` each unit runs in its own worker
+    and the figure is its own.
+    """
+    return {
+        "name": name,
+        "metric": metric,
+        "value": work_units / wall if value is None else value,
+        "wall_seconds": wall,
+        "work_units": work_units,
+        "cpu_seconds": cpu,
+        "peak_rss_kb": peak_rss_kb(),
+        "details": details,
+    }
+
+
+def _suite(name: str, quick: bool, results: List[Dict[str, Any]],
+           fingerprint: Dict[str, Any]) -> Dict[str, Any]:
+    return {
+        "suite": f"bench_{name}",
+        "mode": "quick" if quick else "full",
+        "results": {r["name"]: r for r in results},
+        "fingerprint": fingerprint,
+    }
+
+
+# -- kernel suite (BENCH_kernel.json) --------------------------------------
 
 
 def bench_kernel_events(
     n_procs: int = 64, events_per_proc: int = 4000, seed: int = 11
-) -> BenchResult:
+) -> Dict[str, Any]:
     """Pure event churn: ``n_procs`` processes yielding timeouts.
 
     The delays differ per process so the agenda stays genuinely
@@ -149,530 +145,26 @@ def bench_kernel_events(
 
     for index in range(n_procs):
         sim.process(ticker(index), name=f"ticker-{index}")
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    sim.run()
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - start
+    _, wall, cpu = _timed(sim.run)
     # per process: one init event, one timeout per tick, one
     # termination event for the Process itself
     events = n_procs * (events_per_proc + 2)
-    return BenchResult(
-        name="kernel",
-        metric="events_per_sec",
-        value=events / wall,
-        wall_seconds=wall,
-        work_units=events,
-        cpu_seconds=cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={"n_procs": n_procs, "events_per_proc": events_per_proc,
-                 "final_time": sim.now},
-    )
+    return bench_result("kernel", "events_per_sec", events, wall, cpu, {
+        "n_procs": n_procs, "events_per_proc": events_per_proc,
+        "final_time": sim.now,
+    })
 
 
-# -- RPC microbenchmark ----------------------------------------------------
+def _echo_run(clients: int, horizon: float, seed: int,
+              obs: Any = None) -> Tuple[int, float, float, Network]:
+    """Closed-loop echo RPCs over a four-client star.
 
-
-def bench_rpc_roundtrips(
-    clients: int = 8, horizon: float = 40.0, seed: int = 11
-) -> BenchResult:
-    """Closed-loop echo RPCs: the full marshalling + transport path."""
+    Returns the completed RPCs, the wall and CPU seconds of the
+    simulation run, and the network (for its byte counters).
+    """
     sim = Simulator(seed=seed)
     client_sites = [f"c{i}" for i in range(4)]
     topo = Topology.star("server", client_sites, latency=0.004, bandwidth=12.5e6)
-    net = Network(sim, topo)
-    net.add_node("server", cores=2)
-    for site in client_sites:
-        net.add_node(site, cores=2)
-    EchoService(net, "server", demand=0.0005)
-
-    completed = [0]
-
-    def client(index: int) -> Generator:
-        site = client_sites[index % len(client_sites)]
-        payload = f"ping-{index:03d}"
-        while True:
-            yield from net.call(site, "server", "echo", "echo", payload=payload)
-            completed[0] += 1
-
-    for index in range(clients):
-        sim.process(client(index), name=f"rpc-client-{index}")
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    sim.run(until=horizon)
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - start
-    return BenchResult(
-        name="rpc",
-        metric="rpcs_per_sec",
-        value=completed[0] / wall,
-        wall_seconds=wall,
-        work_units=completed[0],
-        cpu_seconds=cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={"clients": clients, "sim_horizon": horizon,
-                 "sim_throughput": completed[0] / horizon,
-                 "wire_bytes": net.total_bytes},
-    )
-
-
-# -- scaled Fig. 10 scenario ----------------------------------------------
-
-
-def bench_registry_lookups(
-    clients: int = 8, n_types: int = 30, seed: int = 3
-) -> BenchResult:
-    """Scaled-down Fig. 10 registry point (named hash-table lookups)."""
-    from repro.experiments.fig10 import run_fig10_point
-
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    point = run_fig10_point("registry", False, clients, n_types=n_types, seed=seed)
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - start
-    # simulated requests completed over the 30 s horizon
-    requests = int(round(point.throughput * 25.0))
-    return BenchResult(
-        name="fig10_registry",
-        metric="sim_requests_per_wall_sec",
-        value=requests / wall,
-        wall_seconds=wall,
-        work_units=requests,
-        cpu_seconds=cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={"sim_throughput_rps": point.throughput,
-                 "mean_response_ms": point.mean_response_ms},
-    )
-
-
-def bench_index_queries(
-    clients: int = 8, n_types: int = 30, seed: int = 3
-) -> BenchResult:
-    """Scaled-down Fig. 10 index point (XPath over the aggregation)."""
-    from repro.experiments.fig10 import run_fig10_point
-
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    point = run_fig10_point("index", False, clients, n_types=n_types, seed=seed)
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - start
-    requests = int(round(point.throughput * 25.0))
-    return BenchResult(
-        name="fig10_index",
-        metric="sim_requests_per_wall_sec",
-        value=requests / wall,
-        wall_seconds=wall,
-        work_units=requests,
-        cpu_seconds=cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={"sim_throughput_rps": point.throughput,
-                 "mean_response_ms": point.mean_response_ms},
-    )
-
-
-# -- resolution-path benchmark (Fig. 14 machinery) -------------------------
-
-
-def bench_resolution(n_sites: int = 16, seed: int = 21) -> BenchResult:
-    """One Fig. 14 point pair: broadcast baseline vs scaled path.
-
-    The headline rate is wall-clock (resolutions simulated per wall
-    second, both series combined); the *simulated* message counts land
-    in ``details`` and are deterministic, so they double as a protocol
-    fingerprint for the resolution walk.
-    """
-    from repro.experiments.fig14 import run_fig14_point, run_revalidation_point
-
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    base = run_fig14_point(n_sites, optimized=False, seed=seed)
-    opt = run_fig14_point(n_sites, optimized=True, seed=seed)
-    reval = run_revalidation_point()
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - start
-    resolutions = base.resolutions + opt.resolutions
-    return BenchResult(
-        name="resolution",
-        metric="sim_resolutions_per_wall_sec",
-        value=resolutions / wall,
-        wall_seconds=wall,
-        work_units=resolutions,
-        cpu_seconds=cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={
-            "n_sites": n_sites,
-            "baseline_messages_per_resolution": base.messages_per_resolution,
-            "optimized_messages_per_resolution": opt.messages_per_resolution,
-            "message_ratio": (base.messages_per_resolution
-                              / max(opt.messages_per_resolution, 1e-9)),
-            "results_equal": base.result_digest == opt.result_digest,
-            "revalidation_per_entry_messages": reval.per_entry_messages,
-            "revalidation_batched_messages": reval.batched_messages,
-        },
-    )
-
-
-def resolution_fingerprint(n_sites: int = 16, seed: int = 21) -> Dict[str, Any]:
-    """Deterministic digest of the resolution walk's protocol cost.
-
-    Every figure here is simulated (message counts, result-set digest),
-    so two runs of the same tree must match exactly; the committed
-    ``BENCH_resolution.json`` pins them across refactors.
-    """
-    from repro.experiments.fig14 import run_fig14_point
-
-    base = run_fig14_point(n_sites, optimized=False, seed=seed)
-    opt = run_fig14_point(n_sites, optimized=True, seed=seed)
-    return {
-        "n_sites": n_sites,
-        "seed": seed,
-        "resolutions": base.resolutions,
-        "baseline_workload_messages": base.workload_messages,
-        "optimized_workload_messages": opt.workload_messages,
-        "baseline_result_digest": base.result_digest,
-        "optimized_result_digest": opt.result_digest,
-    }
-
-
-def resolution_suite(quick: bool = False) -> Dict[str, Any]:
-    """The ``BENCH_resolution.json`` payload (bench + fingerprint)."""
-    result = bench_resolution()
-    return {
-        "suite": "bench_resolution",
-        "mode": "quick" if quick else "full",
-        "results": {result.name: result.to_dict()},
-        "fingerprint": resolution_fingerprint(),
-    }
-
-
-def compare_resolution_baseline(
-    suite: Dict[str, Any],
-    baseline: Dict[str, Any],
-    max_regression: float = 0.25,
-) -> List[str]:
-    """Gate the resolution walk against a committed baseline.
-
-    Simulated message counts are deterministic, so the
-    ``max_regression`` headroom only trips on real protocol changes: a
-    >25% rise in optimized messages-per-resolution fails, as does any
-    drift of the result-set digests (the optimizations must never
-    change what a resolution returns).
-    """
-    failures: List[str] = []
-    current = suite["results"].get("resolution", {}).get("details", {})
-    base = baseline.get("results", {}).get("resolution", {}).get("details", {})
-    if current and base:
-        for key in ("baseline_messages_per_resolution",
-                    "optimized_messages_per_resolution"):
-            if base.get(key, 0) <= 0:
-                continue
-            ratio = current.get(key, 0.0) / base[key]
-            if ratio > 1.0 + max_regression:
-                failures.append(
-                    f"resolution: {key} rose {(ratio - 1.0) * 100:.1f}% above "
-                    f"baseline ({current.get(key, 0.0):.1f} vs {base[key]:.1f})"
-                )
-        if not current.get("results_equal", False):
-            failures.append(
-                "resolution: optimized run returned different result sets "
-                "than the broadcast baseline"
-            )
-    fp, base_fp = suite.get("fingerprint", {}), baseline.get("fingerprint", {})
-    for key in ("baseline_result_digest", "optimized_result_digest"):
-        if base_fp.get(key) and fp.get(key) != base_fp.get(key):
-            failures.append(
-                f"resolution fingerprint drift: {key} changed "
-                f"({fp.get(key)} vs {base_fp.get(key)})"
-            )
-    return failures
-
-
-# -- provisioning-path benchmark (Fig. 15 machinery) -----------------------
-
-
-def bench_provisioning(n_sites: int = 16, seed: int = 29) -> BenchResult:
-    """One Fig. 15 point pair: serial origin-only vs parallel/replica.
-
-    The headline rate is wall-clock (installations simulated per wall
-    second, both series combined); the *simulated* rollout elapsed
-    times and origin byte counts land in ``details`` and are
-    deterministic, so they double as a protocol fingerprint for the
-    provisioning pipeline.
-    """
-    from repro.experiments.fig15 import run_fig15_point
-
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    base = run_fig15_point(n_sites, optimized=False, seed=seed)
-    opt = run_fig15_point(n_sites, optimized=True, seed=seed)
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - start
-    installs = base.installed + opt.installed
-    return BenchResult(
-        name="provisioning",
-        metric="sim_installs_per_wall_sec",
-        value=installs / wall,
-        wall_seconds=wall,
-        work_units=installs,
-        cpu_seconds=cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={
-            "n_sites": n_sites,
-            "baseline_rollout_elapsed": base.rollout_elapsed,
-            "optimized_rollout_elapsed": opt.rollout_elapsed,
-            "rollout_speedup": (base.rollout_elapsed
-                                / max(opt.rollout_elapsed, 1e-9)),
-            "baseline_origin_bytes_out": base.origin_bytes_out,
-            "optimized_origin_bytes_out": opt.origin_bytes_out,
-            "replica_hits": opt.replica_hits,
-            "results_equal": base.result_digest == opt.result_digest,
-        },
-    )
-
-
-def provisioning_fingerprint(n_sites: int = 16, seed: int = 29) -> Dict[str, Any]:
-    """Deterministic digest of the rollout pipeline's behaviour.
-
-    Every figure here is simulated (elapsed rollout time, message and
-    byte counts, deployment-set digest), so two runs of the same tree
-    must match exactly; the committed ``BENCH_provisioning.json`` pins
-    them across refactors.
-    """
-    from repro.experiments.fig15 import run_fig15_point
-
-    base = run_fig15_point(n_sites, optimized=False, seed=seed)
-    opt = run_fig15_point(n_sites, optimized=True, seed=seed)
-    return {
-        "n_sites": n_sites,
-        "seed": seed,
-        "installed": base.installed,
-        "baseline_rollout_elapsed": repr(base.rollout_elapsed),
-        "optimized_rollout_elapsed": repr(opt.rollout_elapsed),
-        "baseline_messages": base.messages,
-        "optimized_messages": opt.messages,
-        "baseline_origin_bytes_out": base.origin_bytes_out,
-        "optimized_origin_bytes_out": opt.origin_bytes_out,
-        "baseline_result_digest": base.result_digest,
-        "optimized_result_digest": opt.result_digest,
-    }
-
-
-def provisioning_suite(quick: bool = False) -> Dict[str, Any]:
-    """The ``BENCH_provisioning.json`` payload (bench + fingerprint)."""
-    result = bench_provisioning()
-    return {
-        "suite": "bench_provisioning",
-        "mode": "quick" if quick else "full",
-        "results": {result.name: result.to_dict()},
-        "fingerprint": provisioning_fingerprint(),
-    }
-
-
-def compare_provisioning_baseline(
-    suite: Dict[str, Any],
-    baseline: Dict[str, Any],
-    min_speedup: float = 3.0,
-) -> List[str]:
-    """Gate the provisioning pipeline against a committed baseline.
-
-    Simulated rollout times are deterministic, so the checks only trip
-    on real pipeline changes: the parallel/replica rollout must stay at
-    least ``min_speedup`` times faster than the serial baseline, the
-    optimized series must never pull more origin bytes than the
-    committed run, and the deployment-set digests must not drift (the
-    optimizations must never change what a rollout installs).
-    """
-    failures: List[str] = []
-    current = suite["results"].get("provisioning", {}).get("details", {})
-    if current:
-        speedup = current.get("rollout_speedup", 0.0)
-        if speedup < min_speedup:
-            failures.append(
-                f"provisioning: rollout speedup {speedup:.2f}x fell below "
-                f"the required {min_speedup:.1f}x"
-            )
-        if not current.get("results_equal", False):
-            failures.append(
-                "provisioning: parallel rollout installed different "
-                "deployment sets than the serial baseline"
-            )
-    fp, base_fp = suite.get("fingerprint", {}), baseline.get("fingerprint", {})
-    base_origin = base_fp.get("optimized_origin_bytes_out", 0)
-    if base_origin and fp.get("optimized_origin_bytes_out", 0) > base_origin:
-        failures.append(
-            "provisioning: optimized rollout pulled more origin bytes than "
-            f"the committed baseline ({fp.get('optimized_origin_bytes_out')} "
-            f"vs {base_origin})"
-        )
-    for key in ("baseline_result_digest", "optimized_result_digest"):
-        if base_fp.get(key) and fp.get(key) != base_fp.get(key):
-            failures.append(
-                f"provisioning fingerprint drift: {key} changed "
-                f"({fp.get(key)} vs {base_fp.get(key)})"
-            )
-    return failures
-
-
-# -- fault-plane / churn benchmark (Fig. 16) --------------------------------
-
-
-def bench_faults(seed: int = 33) -> BenchResult:
-    """The Fig. 16 churn pair: fragile vs resilient under super-peer churn.
-
-    Runs the full experiment including its built-in same-seed
-    determinism double-run; the headline rate is wall-clock (simulated
-    client requests per wall second across all three runs).  The
-    success rates, re-election and recovery figures in ``details`` are
-    simulated and deterministic.
-    """
-    from repro.experiments.fig16 import run_fig16
-
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    fragile, resilient = run_fig16(seed=seed)
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - start
-    # the determinism verification re-runs the resilient point
-    requests = (fragile.resolutions + fragile.provisions
-                + 2 * (resilient.resolutions + resilient.provisions))
-    return BenchResult(
-        name="faults",
-        metric="sim_requests_per_wall_sec",
-        value=requests / wall,
-        wall_seconds=wall,
-        work_units=requests,
-        cpu_seconds=cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={
-            "n_sites": resilient.n_sites,
-            "crashes": resilient.crashes,
-            "resilient_resolution_success": resilient.resolution_success_rate,
-            "fragile_resolution_success": fragile.resolution_success_rate,
-            "resilient_provision_success": resilient.provision_success_rate,
-            "fragile_provision_success": fragile.provision_success_rate,
-            "reelections": resilient.reelections,
-            "fragile_reelections": fragile.reelections,
-            "retries": resilient.retries,
-            "mean_recovery_s": resilient.mean_recovery_s,
-        },
-    )
-
-
-def faults_fingerprint(seed: int = 33) -> Dict[str, Any]:
-    """Deterministic digest of the churn experiment's behaviour.
-
-    Every figure is simulated (failure counts, takeover latencies,
-    per-request outcome digests), so two runs of the same tree must
-    match exactly; the committed ``BENCH_faults.json`` pins them.
-    """
-    from repro.experiments.fig16 import run_fig16_point
-
-    fragile = run_fig16_point(resilient=False, seed=seed)
-    resilient = run_fig16_point(resilient=True, seed=seed)
-    return {
-        "seed": seed,
-        "crashes": resilient.crashes,
-        "reelections": resilient.reelections,
-        "fragile_reelections": fragile.reelections,
-        "resilient_resolution_failures": resilient.resolution_failures,
-        "fragile_resolution_failures": fragile.resolution_failures,
-        "resilient_provision_failures": resilient.provision_failures,
-        "fragile_provision_failures": fragile.provision_failures,
-        "retries": resilient.retries,
-        "recovery_times": [repr(t) for t in resilient.recovery_times],
-        "fragile_result_digest": fragile.result_digest,
-        "resilient_result_digest": resilient.result_digest,
-    }
-
-
-def faults_suite(quick: bool = False) -> Dict[str, Any]:
-    """The ``BENCH_faults.json`` payload (bench + fingerprint)."""
-    result = bench_faults()
-    return {
-        "suite": "bench_faults",
-        "mode": "quick" if quick else "full",
-        "results": {result.name: result.to_dict()},
-        "fingerprint": faults_fingerprint(),
-    }
-
-
-def compare_faults_baseline(
-    suite: Dict[str, Any],
-    baseline: Dict[str, Any],
-    min_success: float = 0.95,
-) -> List[str]:
-    """Gate the fault plane + recovery path against a committed baseline.
-
-    All figures are deterministic, so the checks only trip on real
-    behaviour changes: the resilient series must keep ``min_success``
-    request success under churn, the fragile series must stay
-    measurably worse (the experiment's contrast), takeovers must
-    actually happen (and never without the detector), and the
-    per-request outcome digests must not drift.
-    """
-    failures: List[str] = []
-    current = suite["results"].get("faults", {}).get("details", {})
-    if current:
-        for key in ("resilient_resolution_success", "resilient_provision_success"):
-            rate = current.get(key, 0.0)
-            if rate < min_success:
-                failures.append(
-                    f"faults: {key} {rate:.3f} fell below the "
-                    f"required {min_success:.2f}"
-                )
-        if (current.get("fragile_resolution_success", 0.0)
-                >= current.get("resilient_resolution_success", 0.0)):
-            failures.append(
-                "faults: the fragile series no longer degrades under churn "
-                "(the experiment's contrast vanished)"
-            )
-        if current.get("reelections", 0) < 1:
-            failures.append("faults: no takeover happened in the resilient series")
-        if current.get("fragile_reelections", 0) != 0:
-            failures.append(
-                "faults: takeovers happened with the failure detector disabled"
-            )
-    fp, base_fp = suite.get("fingerprint", {}), baseline.get("fingerprint", {})
-    for key in ("fragile_result_digest", "resilient_result_digest",
-                "recovery_times", "crashes", "reelections"):
-        if key in base_fp and fp.get(key) != base_fp.get(key):
-            failures.append(
-                f"faults fingerprint drift: {key} changed "
-                f"({fp.get(key)!r} vs {base_fp.get(key)!r})"
-            )
-    return failures
-
-
-# -- observability-overhead benchmark (obs + SLO plane) ---------------------
-
-def _obs_bench_slos():
-    """An availability objective over the echo endpoint (default alert
-    rules), so every RPC crosses the SLO interceptor and engine."""
-    from repro.obs.slo import SLOSpec
-
-    return (SLOSpec(name="echo-availability", endpoint="echo.*", target=0.999),)
-
-
-def _echo_tier_run(tier: str, clients: int, horizon: float, seed: int) -> Dict[str, Any]:
-    """One closed-loop echo workload at a given observability tier.
-
-    ``tier`` is ``"off"`` (null observability — the production default),
-    ``"obs"`` (tracer + metrics interceptors) or ``"slo"`` (tracer +
-    metrics + SLO engine fed by the pipeline).  Identical seed and
-    topology across tiers, so the rate deltas are pure instrumentation
-    overhead.
-    """
-    from repro.obs import Observability
-
-    sim = Simulator(seed=seed)
-    client_sites = [f"c{i}" for i in range(4)]
-    topo = Topology.star("server", client_sites, latency=0.004, bandwidth=12.5e6)
-    obs = None
-    if tier == "obs":
-        obs = Observability(enabled=True, sample_interval=5.0)
-    elif tier == "slo":
-        obs = Observability(enabled=True, sample_interval=5.0,
-                            slos=_obs_bench_slos())
     net = Network(sim, topo, obs=obs)
     net.add_node("server", cores=2)
     for site in client_sites:
@@ -691,782 +183,37 @@ def _echo_tier_run(tier: str, clients: int, horizon: float, seed: int) -> Dict[s
             completed[0] += 1
 
     for index in range(clients):
-        sim.process(client(index), name=f"obs-client-{index}")
-    start = time.perf_counter()
-    sim.run(until=horizon)
-    wall = time.perf_counter() - start
-    return {
-        "tier": tier,
-        "rpcs": completed[0],
-        "wall_seconds": wall,
-        "rpcs_per_wall_sec": completed[0] / wall,
-        "sim_throughput": completed[0] / horizon,
-    }
+        sim.process(client(index), name=f"echo-client-{index}")
+    _, wall, cpu = _timed(sim.run, until=horizon)
+    return completed[0], wall, cpu, net
 
 
-def bench_obs(
+def bench_rpc_roundtrips(
     clients: int = 8, horizon: float = 40.0, seed: int = 11
-) -> BenchResult:
-    """Instrumentation overhead: echo RPCs with obs off / on / on+SLOs.
-
-    The *simulated* throughput must be identical across tiers (the
-    observability plane charges no simulated time); only wall-clock
-    differs.  The headline value is the instrumented-with-SLOs rate;
-    ``details`` carries the per-tier rates and the overhead fractions
-    the CI gate checks.
-    """
-    cpu_start = time.process_time()
-    runs = {tier: _echo_tier_run(tier, clients, horizon, seed)
-            for tier in ("off", "obs", "slo")}
-    cpu = time.process_time() - cpu_start
-    base_rate = runs["off"]["rpcs_per_wall_sec"]
-    overhead = {
-        tier: 1.0 - runs[tier]["rpcs_per_wall_sec"] / base_rate
-        for tier in ("obs", "slo")
-    }
-    return BenchResult(
-        name="obs",
-        metric="instrumented_rpcs_per_wall_sec",
-        value=runs["slo"]["rpcs_per_wall_sec"],
-        wall_seconds=sum(r["wall_seconds"] for r in runs.values()),
-        work_units=sum(r["rpcs"] for r in runs.values()),
-        cpu_seconds=cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={
-            "clients": clients,
-            "sim_horizon": horizon,
-            "null_rpcs_per_wall_sec": base_rate,
-            "obs_rpcs_per_wall_sec": runs["obs"]["rpcs_per_wall_sec"],
-            "slo_rpcs_per_wall_sec": runs["slo"]["rpcs_per_wall_sec"],
-            "obs_overhead_frac": overhead["obs"],
-            "slo_overhead_frac": overhead["slo"],
-            "sim_throughput_equal": len(
-                {r["sim_throughput"] for r in runs.values()}
-            ) == 1,
-        },
-    )
-
-
-def obs_fingerprint(seed: int = 33) -> Dict[str, Any]:
-    """Deterministic digest of the health/SLO plane's judgements.
-
-    Runs the quick Fig. 16 SLO pair: alert counts, per-crash detection
-    latencies (MTTD), incident repair times (MTTR), error-budget
-    verdicts and the request digests are all simulated figures, so two
-    runs of the same tree must match exactly; the committed
-    ``BENCH_obs.json`` pins them across refactors.
-    """
-    from repro.experiments.fig16 import run_fig16_slo
-
-    fragile, resilient = run_fig16_slo(seed=seed, quick=True,
-                                       verify_determinism=False)
-    return {
-        "seed": seed,
-        "crashes": resilient.crashes,
-        "fragile_alerts_fired": fragile.alerts_fired,
-        "resilient_alerts_fired": resilient.alerts_fired,
-        "undetected_crashes": (fragile.undetected_crashes
-                               + resilient.undetected_crashes),
-        "fragile_detection_latencies": [repr(t) for t in
-                                        fragile.detection_latencies],
-        "resilient_detection_latencies": [repr(t) for t in
-                                          resilient.detection_latencies],
-        "fragile_repair_times": [repr(t) for t in fragile.repair_times],
-        "resilient_repair_times": [repr(t) for t in resilient.repair_times],
-        "fragile_verdicts": dict(sorted(fragile.slo_verdicts.items())),
-        "resilient_verdicts": dict(sorted(resilient.slo_verdicts.items())),
-        "fragile_result_digest": fragile.result_digest,
-        "resilient_result_digest": resilient.result_digest,
-    }
-
-
-def obs_suite(quick: bool = False) -> Dict[str, Any]:
-    """The ``BENCH_obs.json`` payload (bench + fingerprint)."""
-    result = bench_obs(**({"clients": 4, "horizon": 15.0} if quick else {}))
-    return {
-        "suite": "bench_obs",
-        "mode": "quick" if quick else "full",
-        "results": {result.name: result.to_dict()},
-        "fingerprint": obs_fingerprint(),
-    }
-
-
-def compare_obs_baseline(
-    suite: Dict[str, Any],
-    baseline: Dict[str, Any],
-    max_overhead: float = 0.75,
-    max_overhead_increase: float = 0.15,
-) -> List[str]:
-    """Gate the observability plane against a committed baseline.
-
-    Wall-clock rates vary across machines, but the overhead *fractions*
-    are same-machine ratios, so they travel: the instrumented tiers
-    must stay under ``max_overhead`` absolute cost and must not grow
-    more than ``max_overhead_increase`` over the committed fractions.
-    Every judgement figure is simulated and deterministic — any drift
-    of detections, repairs, verdicts or digests fails, as does an
-    undetected crash or a vanished fragile/resilient verdict contrast.
-    """
-    failures: List[str] = []
-    current = suite["results"].get("obs", {}).get("details", {})
-    base = baseline.get("results", {}).get("obs", {}).get("details", {})
-    for key in ("obs_overhead_frac", "slo_overhead_frac"):
-        frac = current.get(key)
-        if frac is None:
-            continue
-        if frac > max_overhead:
-            failures.append(
-                f"obs: {key} {frac:.3f} exceeds the absolute cap "
-                f"{max_overhead:.2f}"
-            )
-        if base.get(key) is not None and frac > base[key] + max_overhead_increase:
-            failures.append(
-                f"obs: {key} {frac:.3f} grew more than "
-                f"{max_overhead_increase:.2f} over baseline {base[key]:.3f}"
-            )
-    if current and not current.get("sim_throughput_equal", False):
-        failures.append(
-            "obs: instrumentation changed the simulated throughput "
-            "(the observability plane must charge no simulated time)"
-        )
-    fp, base_fp = suite.get("fingerprint", {}), baseline.get("fingerprint", {})
-    if fp.get("undetected_crashes", 0) != 0:
-        failures.append(
-            f"obs: {fp.get('undetected_crashes')} scheduled crashes went "
-            "undetected by the burn-rate alerts"
-        )
-    verdict_pairs = (
-        ("fragile_verdicts", "client-availability", "exhausted"),
-        ("resilient_verdicts", "client-availability", "met"),
-    )
-    for key, slo_name, expected in verdict_pairs:
-        actual = fp.get(key, {}).get(slo_name)
-        if actual != expected:
-            failures.append(
-                f"obs: {key}[{slo_name}] is {actual!r}, expected "
-                f"{expected!r} (the fragile/resilient contrast vanished)"
-            )
-    for key in ("crashes", "fragile_alerts_fired", "resilient_alerts_fired",
-                "fragile_detection_latencies", "resilient_detection_latencies",
-                "fragile_repair_times", "resilient_repair_times",
-                "fragile_verdicts", "resilient_verdicts",
-                "fragile_result_digest", "resilient_result_digest"):
-        if key in base_fp and fp.get(key) != base_fp.get(key):
-            failures.append(
-                f"obs fingerprint drift: {key} changed "
-                f"({fp.get(key)!r} vs {base_fp.get(key)!r})"
-            )
-    return failures
-
-
-# -- sharded-storage benchmark (Fig. 17 machinery) --------------------------
-
-
-def bench_storage(n_types: int = 100_000, shards: int = 16) -> BenchResult:
-    """Registry-backend lookup cost: flat dict vs consistent-hash shards.
-
-    Loads both backends at a small anchor size and at ``n_types``, and
-    reports warm per-lookup CPU for each.  The headline rate is sharded
-    lookups per wall second at ``n_types``; the *in-run flatness ratio*
-    (sharded per-lookup at ``n_types`` over the anchor point) lands in
-    ``details`` — it is a same-machine ratio, so it travels across
-    hosts the way absolute nanoseconds never do.
-    """
-    from repro.experiments.fig17 import run_storage_point
-
-    anchor_size = 1_000
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    anchor = run_storage_point(anchor_size, shard_counts=(shards,))
-    point = run_storage_point(n_types, shard_counts=(shards,))
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - start
-    sharded = {p.backend: p for p in point}[f"sharded/{shards}"]
-    sharded_anchor = {p.backend: p for p in anchor}[f"sharded/{shards}"]
-    return BenchResult(
-        name="storage",
-        metric="sharded_lookups_per_wall_sec",
-        value=1e9 / sharded.per_lookup_ns,
-        wall_seconds=wall,
-        work_units=2 * (n_types + anchor_size),  # records loaded
-        cpu_seconds=cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={
-            "n_types": n_types,
-            "shards": shards,
-            "dict_per_lookup_ns": point[0].per_lookup_ns,
-            "sharded_per_lookup_ns": sharded.per_lookup_ns,
-            "flatness_ratio": (sharded.per_lookup_ns
-                               / sharded_anchor.per_lookup_ns),
-            "max_shard": sharded.max_shard,
-            "imbalance": sharded.imbalance,
-            "digests_equal": all(p.digest_matches_dict for p in point),
-        },
-    )
-
-
-def storage_fingerprint(seed: int = 23) -> Dict[str, Any]:
-    """Deterministic digest of the sharded storage layer's behaviour.
-
-    Pure-placement figures (lookup digests, shard occupancy) plus one
-    simulated routing pair (broadcast vs shard-directory escalation at
-    4 super-peer groups): message counts, route hits and result-set
-    digests are all simulated, so two runs of the same tree must match
-    exactly; the committed ``BENCH_storage.json`` pins them.
-    """
-    from repro.experiments.fig17 import (
-        _load_backend,
-        _lookup_digest,
-        _lookup_sample,
-        run_routing_point,
-    )
-    from repro.glare.storage import DictBackend, StorageConfig
-
-    placement: Dict[str, Any] = {}
-    for n_types in (1_000, 10_000):
-        sample = _lookup_sample(n_types)
-        flat = DictBackend()
-        _load_backend(flat, n_types)
-        placement[f"dict/{n_types}"] = _lookup_digest(flat, sample)
-        for shards in (4, 16):
-            backend = StorageConfig.sharded(shards=shards).make_backend()
-            _load_backend(backend, n_types)
-            sizes = backend.shard_sizes()
-            placement[f"sharded/{shards}/{n_types}"] = {
-                "lookup_digest": _lookup_digest(backend, sample),
-                "shard_sizes": dict(sorted(sizes.items())),
-            }
-
-    base = run_routing_point(4, 1_000, routed=False, seed=seed)
-    routed = run_routing_point(4, 1_000, routed=True, seed=seed)
-    return {
-        "seed": seed,
-        "placement": placement,
-        "baseline_workload_messages": base.workload_messages,
-        "routed_workload_messages": routed.workload_messages,
-        "routed_route_hits": routed.shard_route_hits,
-        "routed_fallbacks": routed.shard_fallbacks,
-        "baseline_result_digest": base.result_digest,
-        "routed_result_digest": routed.result_digest,
-    }
-
-
-def storage_suite(quick: bool = False) -> Dict[str, Any]:
-    """The ``BENCH_storage.json`` payload (bench + fingerprint).
-
-    The fingerprint uses the same cheap sizes in both modes, so a quick
-    CI run gates against a baseline recorded with the full suite.
-    """
-    result = bench_storage(**({"n_types": 10_000} if quick else {}))
-    return {
-        "suite": "bench_storage",
-        "mode": "quick" if quick else "full",
-        "results": {result.name: result.to_dict()},
-        "fingerprint": storage_fingerprint(),
-    }
-
-
-def compare_storage_baseline(
-    suite: Dict[str, Any],
-    baseline: Dict[str, Any],
-    max_regression: float = 0.25,
-    max_flatness: float = 1.5,
-) -> List[str]:
-    """Gate the sharded storage layer against a committed baseline.
-
-    The CPU gate is the in-run flatness *ratio* (generous: fig17 itself
-    asserts 1.3x; the CI tripwire allows ``max_flatness`` so shared
-    runners don't flake).  Everything else is deterministic: lookup
-    digests must never diverge from the flat dict, shard placement and
-    routing message counts must not drift, and the routed series must
-    return the same result sets as the broadcast baseline.
-    """
-    failures: List[str] = []
-    current = suite["results"].get("storage", {}).get("details", {})
-    if current:
-        ratio = current.get("flatness_ratio", 0.0)
-        if ratio > max_flatness:
-            failures.append(
-                f"storage: sharded per-lookup CPU at N="
-                f"{current.get('n_types')} is {ratio:.2f}x the anchor "
-                f"point (cap {max_flatness:.2f}x) — lookups are no "
-                "longer flat"
-            )
-        if not current.get("digests_equal", False):
-            failures.append(
-                "storage: sharded backend returned different lookup "
-                "results than the flat dict"
-            )
-    fp, base_fp = suite.get("fingerprint", {}), baseline.get("fingerprint", {})
-    if fp.get("baseline_result_digest") != fp.get("routed_result_digest"):
-        failures.append(
-            "storage: shard-routed resolution returned different result "
-            "sets than the broadcast baseline"
-        )
-    base_msgs = base_fp.get("routed_workload_messages", 0)
-    if base_msgs and (fp.get("routed_workload_messages", 0)
-                      > base_msgs * (1.0 + max_regression)):
-        failures.append(
-            f"storage: routed workload messages rose above baseline "
-            f"({fp.get('routed_workload_messages')} vs {base_msgs})"
-        )
-    for key in ("placement", "baseline_workload_messages",
-                "routed_route_hits", "routed_fallbacks",
-                "baseline_result_digest", "routed_result_digest"):
-        if key in base_fp and fp.get(key) != base_fp.get(key):
-            failures.append(
-                f"storage fingerprint drift: {key} changed"
-            )
-    return failures
-
-
-# -- open-loop workload-plane benchmark (Fig. 18 machinery) -----------------
-
-
-def bench_workload(target_arrivals: int = 1_500_000, seed: int = 17) -> BenchResult:
-    """Arrival-engine throughput: generate + schedule a diurnal trace.
-
-    Generates a non-homogeneous (two-region diurnal) arrival trace
-    sized to ``target_arrivals`` and injects it into a bare simulator
-    as same-timestamp cohorts, running the agenda to exhaustion.  The
-    headline rate counts *both* phases — an arrival only counts once
-    its cohort event has actually dispatched — so the figure is the
-    end-to-end cost of putting one open-loop user on the wire.  The
-    1M-arrivals-per-wall-second gate in ``BENCH_workload.json`` rides
-    this number.
-    """
-    from repro.load.arrivals import DiurnalRate, NHPoissonProcess
-    from repro.load.inject import CohortInjector
-
-    horizon = 50.0
-    # two staggered regions, weights summing to 1 => mean rate == base
-    rate = DiurnalRate(target_arrivals / horizon, amplitude=0.8,
-                       period=horizon, regions=((0.0, 0.6), (0.3 * horizon, 0.4)))
-    model = NHPoissonProcess(rate, name="bench-diurnal")
-
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    times = model.sample(horizon, seed)
-    generated = time.perf_counter()
-
-    sim = Simulator(seed=seed)
-    injector = CohortInjector(sim, times, lambda t, i: None, tick=0.005)
-    injector.start()
-    sim.run()
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - start
-    if injector.fired != times.size:  # pragma: no cover - harness invariant
-        raise RuntimeError(
-            f"cohort injection dropped arrivals: fired {injector.fired} "
-            f"of {times.size}"
-        )
-    return BenchResult(
-        name="workload",
-        metric="arrivals_per_wall_sec",
-        value=times.size / wall,
-        wall_seconds=wall,
-        work_units=int(times.size),
-        cpu_seconds=cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={
-            "target_arrivals": target_arrivals,
-            "arrivals": int(times.size),
-            "cohorts": injector.cohorts,
-            "generate_seconds": generated - start,
-            "schedule_seconds": wall - (generated - start),
-            "final_time": sim.now,
-        },
-    )
-
-
-def bench_workload_memory(
-    target_arrivals: int = 1_000_000, anchor_arrivals: int = 50_000
-) -> BenchResult:
-    """Memory flatness of the full open-loop fig18 path.
-
-    Runs the fixed-rate overload scenario at an anchor size and at
-    ``target_arrivals`` (a 20x step in the full suite), reading RSS
-    before and after each.  A small throwaway run first pages in the
-    code and numpy buffers so the anchor delta is not polluted by
-    one-time warm-up.  Streaming stats bound the per-run state to the
-    fixed histogram grid plus one window row per elapsed window, so the
-    target run's RSS growth must stay O(1) in the arrival count — the
-    ``BENCH_workload.json`` gate caps it absolutely, which works at
-    both quick and full sizes precisely because flat means
-    size-independent.
-    """
-    from repro.experiments.fig18 import run_fig18_memory
-
-    run_fig18_memory(max(anchor_arrivals // 5, 2_000))  # warm-up, unmeasured
-
-    rss0 = current_rss_kb()
-    anchor = run_fig18_memory(anchor_arrivals)
-    anchor_growth = current_rss_kb() - rss0
-
-    rss1 = current_rss_kb()
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    out = run_fig18_memory(target_arrivals)
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - start
-    target_growth = current_rss_kb() - rss1
-
-    arrivals = int(out["arrivals"])
-    return BenchResult(
-        name="workload_memory",
-        metric="sim_arrivals_per_wall_sec",
-        value=arrivals / wall,
-        wall_seconds=wall,
-        work_units=arrivals,
-        cpu_seconds=cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={
-            "target_arrivals": target_arrivals,
-            "anchor_arrivals": int(anchor["arrivals"]),
-            "anchor_rss_growth_kb": int(anchor_growth),
-            "target_rss_growth_kb": int(target_growth),
-            "rss_bytes_per_arrival": 1024.0 * max(target_growth, 0) / arrivals,
-            "stats_footprint_bytes": int(out["stats_footprint_bytes"]),
-            "completed": int(out["completed"]),
-            "shed": int(out["shed"]),
-            "digest": out["digest"],
-        },
-    )
-
-
-def workload_fingerprint(seed: int = 41) -> Dict[str, Any]:
-    """Deterministic digest of the workload plane's behaviour.
-
-    Arrival-trace digests (sha256 over the raw float64 timestamps) pin
-    every generator model bit-for-bit; the cohort count pins the
-    quantisation grid; one small overload point pins the whole
-    open-loop path (mix assignment, admission shedding, streaming-stats
-    merge).  All figures are simulated or pure draws from named
-    streams, so the same sizes run in quick and full mode and the
-    committed ``BENCH_workload.json`` pins them across refactors.
-    """
-    from repro.experiments.fig18 import run_fig18_point
-    from repro.load.arrivals import (
-        DiurnalRate,
-        MMPPProcess,
-        NHPoissonProcess,
-        ParetoSessions,
-        PoissonProcess,
-        StepRate,
-    )
-    from repro.load.inject import quantize_ticks
-
-    horizon = 40.0
-    traces = {
-        "poisson": PoissonProcess(500.0).sample(horizon, seed),
-        "diurnal": NHPoissonProcess(
-            DiurnalRate(400.0, period=horizon, regions=((0.0, 0.6), (12.0, 0.4)))
-        ).sample(horizon, seed),
-        "flash": NHPoissonProcess(
-            StepRate(200.0, 2_000.0, 15.0, 20.0), name="nhpp-step"
-        ).sample(horizon, seed),
-        "mmpp": MMPPProcess().sample(horizon, seed),
-        "sessions": ParetoSessions(PoissonProcess(30.0, name="session-starts"))
-        .sample(horizon, seed),
-    }
-    models = {
-        name: {
-            "arrivals": int(times.size),
-            "sha256": hashlib.sha256(times.tobytes()).hexdigest(),
-        }
-        for name, times in traces.items()
-    }
-    ticks = quantize_ticks(traces["poisson"], 0.005)
-    point = run_fig18_point(
-        multiple=2.0, capacity=600.0, seed=seed, n_sites=5, n_types=4,
-        horizon=10.0, warmup=2.0,
-    )
-    return {
-        "seed": seed,
-        "models": models,
-        "poisson_cohorts": int(np.unique(ticks).size),
-        "point_completed": point.completed,
-        "point_shed": point.shed,
-        "point_timeouts": point.timeouts,
-        "point_goodput": repr(point.goodput),
-        "point_shed_by_op": point.server_shed_by_op,
-        "point_result_digest": point.result_digest,
-    }
-
-
-def workload_suite(quick: bool = False) -> Dict[str, Any]:
-    """The ``BENCH_workload.json`` payload (benches + fingerprint).
-
-    The fingerprint uses the same cheap sizes in both modes; only the
-    throughput/memory benches scale down under ``quick`` (the 1M/s
-    arrival-rate gate and the absolute RSS-growth cap both hold at
-    either size).
-    """
-    if quick:
-        engine = bench_workload(target_arrivals=200_000)
-        memory = bench_workload_memory(target_arrivals=48_000,
-                                       anchor_arrivals=12_000)
-    else:
-        engine = bench_workload()
-        memory = bench_workload_memory()
-    return {
-        "suite": "bench_workload",
-        "mode": "quick" if quick else "full",
-        "results": {r.name: r.to_dict() for r in (engine, memory)},
-        "fingerprint": workload_fingerprint(),
-    }
-
-
-def compare_workload_baseline(
-    suite: Dict[str, Any],
-    baseline: Dict[str, Any],
-    min_arrival_rate: float = 1_000_000.0,
-    max_rss_growth_kb: int = 131_072,
-    max_stats_footprint_bytes: int = 1_000_000,
-) -> List[str]:
-    """Gate the open-loop workload plane against a committed baseline.
-
-    The arrival engine must sustain ``min_arrival_rate`` generated +
-    scheduled arrivals per wall second (an absolute floor, not a
-    baseline ratio — the ISSUE's 10^6 target).  The full fig18 path
-    must stay memory-flat: RSS growth of the measured run under an
-    absolute cap (flat means size-independent, so one cap serves quick
-    and full sizes) and the streaming-stats footprint bounded by its
-    fixed histogram grid.  Every fingerprint figure is deterministic —
-    any drift of an arrival-trace digest or the overload point's
-    outcome digest fails.
-    """
-    failures: List[str] = []
-    engine = suite["results"].get("workload", {})
-    if engine:
-        rate = engine.get("value", 0.0)
-        if rate < min_arrival_rate:
-            failures.append(
-                f"workload: arrival engine sustained {rate:,.0f} arrivals/s, "
-                f"below the required {min_arrival_rate:,.0f}/s"
-            )
-    memory = suite["results"].get("workload_memory", {}).get("details", {})
-    if memory:
-        growth = memory.get("target_rss_growth_kb", 0)
-        if growth > max_rss_growth_kb:
-            failures.append(
-                f"workload: RSS grew {growth:,d} kB across the "
-                f"{memory.get('target_arrivals'):,d}-arrival run "
-                f"(cap {max_rss_growth_kb:,d} kB) — the open-loop path is "
-                "no longer memory-flat"
-            )
-        footprint = memory.get("stats_footprint_bytes", 0)
-        if footprint > max_stats_footprint_bytes:
-            failures.append(
-                f"workload: streaming-stats footprint {footprint:,d} B "
-                f"exceeds the fixed-size cap {max_stats_footprint_bytes:,d} B"
-            )
-    fp, base_fp = suite.get("fingerprint", {}), baseline.get("fingerprint", {})
-    for key in ("models", "poisson_cohorts", "point_completed", "point_shed",
-                "point_timeouts", "point_goodput", "point_shed_by_op",
-                "point_result_digest"):
-        if key in base_fp and fp.get(key) != base_fp.get(key):
-            failures.append(
-                f"workload fingerprint drift: {key} changed "
-                f"({fp.get(key)!r} vs {base_fp.get(key)!r})"
-            )
-    return failures
-
-
-# -- desired-state orchestration benchmark (Fig. 19 machinery) --------------
-
-#: the fixed quick-mode fig19 shape shared by the orchestration bench
-#: and fingerprint — identical in quick and full suite modes so the
-#: committed fingerprint pins one exact simulation
-_ORCH_SHAPE = dict(seed=43, n_sites=6, max_replicas=3, horizon=40.0,
-                   warmup=4.0, spike_start=10.0, spike_end=26.0, adapt=8.0)
-
-
-def bench_orchestration(seed: int = 43) -> "BenchResult":
-    """Wall-clock cost of the desired-state control loop under load.
-
-    Runs the quick-shape orchestrated fig19 flash crowd — thousands of
-    open-loop arrivals with the reconciler observing, planning and
-    actuating every interval — and reports simulated reconcile rounds
-    per wall second.  The interesting regression here is control-loop
-    overhead: the loop must stay a negligible slice of a busy
-    simulation's wall time.
-    """
-    from repro.experiments.fig19 import run_fig19_flash
-
-    shape = dict(_ORCH_SHAPE, seed=seed)
-    start = time.perf_counter()
-    cpu_start = time.process_time()
-    flash = run_fig19_flash(orchestrated=True, **shape)
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - start
-    return BenchResult(
-        name="orchestration",
-        metric="reconcile_rounds_per_wall_sec",
-        value=flash.reconcile_rounds / wall,
-        wall_seconds=wall,
-        work_units=flash.reconcile_rounds,
-        cpu_seconds=cpu,
-        peak_rss_kb=peak_rss_kb(),
-        details={
-            "rounds": flash.reconcile_rounds,
-            "installs": flash.installs,
-            "drains": flash.drains,
-            "max_replicas_seen": flash.max_replicas_seen,
-            "final_replicas": flash.final_replicas,
-            "convergence_times": [round(t, 6) for t in flash.convergence_times],
-        },
-    )
-
-
-def _planner_decision_digest(seed: int = 43) -> str:
-    """Digest of the pure planner over a grid of synthetic worlds.
-
-    No simulator at all: every (utilization level, shed level, health
-    mix, placement count) cell is planned once and its TypePlan folded
-    into one sha256.  Catches policy drift — threshold comparisons,
-    tie-breaking, clamping — independently of the simulation around it.
-    """
-    from repro.orchestrate.planner import Observed, Planner, SiteObservation
-    from repro.orchestrate.spec import DeploymentSpec, OrchestrationConfig
-
-    planner = Planner(OrchestrationConfig())
-    spec = DeploymentSpec(type_name="T", min_replicas=1, max_replicas=3,
-                          target_utilization=0.6)
-    digest = hashlib.sha256(f"planner|{seed}".encode())
-    site_names = ("a", "b", "c", "d")
-    for busy in (0.05, 0.3, 0.65, 0.95):
-        for shed in (0, 5):
-            for bad in ("", "a", "d"):
-                for n_placed in (0, 1, 2, 4):
-                    sites = tuple(
-                        SiteObservation(
-                            site=name,
-                            utilization=busy * (1.0 + 0.1 * index),
-                            load=busy * 4.0,
-                            run_queue=index,
-                            shed=shed if index == 0 else 0,
-                            health="down" if name == bad else "healthy",
-                        )
-                        for index, name in enumerate(site_names)
-                    )
-                    observed = Observed(
-                        sites=sites,
-                        placements={"T": site_names[:n_placed]},
-                    )
-                    tp = planner.plan([spec], observed).types[0]
-                    digest.update(
-                        f"{busy}|{shed}|{bad}|{n_placed}=>"
-                        f"{tp.desired}|{tp.placements}|{tp.add}|{tp.remove}"
-                        f"|{tp.reason};".encode()
-                    )
-    return digest.hexdigest()
-
-
-def orchestration_fingerprint(seed: int = 43) -> Dict[str, Any]:
-    """Deterministic digest of the desired-state control loop.
-
-    The orchestrated and static fig19 series pin the full closed loop
-    (observation wire shapes, EWMA smoothing, planner policy, install
-    and drain ordering, WSRF GC timing) bit-for-bit; the replica
-    trajectory and convergence times pin the control behaviour in
-    human-readable form; the planner decision digest pins the pure
-    policy layer alone.  All figures are simulated, so quick and full
-    suite modes run the same sizes and ``BENCH_orchestration.json``
-    pins them across refactors.
-    """
-    from repro.experiments.fig19 import run_fig19_flash
-
-    shape = dict(_ORCH_SHAPE, seed=seed)
-    orchestrated = run_fig19_flash(orchestrated=True, **shape)
-    static = run_fig19_flash(orchestrated=False, **shape)
-    return {
-        "seed": seed,
-        "planner_decisions": _planner_decision_digest(seed),
-        "orchestrated_digest": orchestrated.result_digest,
-        "static_digest": static.result_digest,
-        "replica_series": [[round(t, 3), n]
-                           for t, n in orchestrated.replica_series],
-        "max_replicas_seen": orchestrated.max_replicas_seen,
-        "final_replicas": orchestrated.final_replicas,
-        "rounds": orchestrated.reconcile_rounds,
-        "installs": orchestrated.installs,
-        "drains": orchestrated.drains,
-        "convergence_times": [repr(round(t, 6))
-                              for t in orchestrated.convergence_times],
-        "recovered_goodput": repr(orchestrated.phases["recovered"]["goodput"]),
-        "static_recovered_goodput": repr(static.phases["recovered"]["goodput"]),
-    }
-
-
-def orchestration_suite(quick: bool = False) -> Dict[str, Any]:
-    """The ``BENCH_orchestration.json`` payload (bench + fingerprint).
-
-    Quick and full modes run the same fixed shape: the whole suite is
-    one simulated scenario whose wall time is already CI-sized, and
-    identical sizes are what let the fingerprint pin one exact run.
-    """
-    bench = bench_orchestration()
-    return {
-        "suite": "bench_orchestration",
-        "mode": "quick" if quick else "full",
-        "results": {bench.name: bench.to_dict()},
-        "fingerprint": orchestration_fingerprint(),
-    }
-
-
-def compare_orchestration_baseline(
-    suite: Dict[str, Any],
-    baseline: Dict[str, Any],
-    max_regression: float = 0.25,
-    min_hot_gain: float = 1.2,
-) -> List[str]:
-    """Gate the desired-state control loop against a committed baseline.
-
-    Three families of failure: the control loop got expensive (rounds
-    per wall second regressed beyond ``max_regression``), the control
-    *behaviour* degraded (scale-out stopped beating the static series
-    by ``min_hot_gain`` on recovered goodput, or the fleet no longer
-    drains back to min replicas), or any fingerprint figure drifted —
-    the planner decision digest, the series digests, the replica
-    trajectory — which means a refactor changed what the loop does.
-    """
-    failures: List[str] = []
-    bench = suite["results"].get("orchestration", {})
-    base_bench = baseline.get("results", {}).get("orchestration", {})
-    if bench and base_bench:
-        rate, base_rate = bench.get("value", 0.0), base_bench.get("value", 0.0)
-        if base_rate > 0 and rate < base_rate * (1.0 - max_regression):
-            failures.append(
-                f"orchestration: {rate:,.1f} reconcile rounds/s is more than "
-                f"{max_regression:.0%} below baseline {base_rate:,.1f}/s"
-            )
-    fp, base_fp = suite.get("fingerprint", {}), baseline.get("fingerprint", {})
-    if fp.get("final_replicas") != 1:
-        failures.append(
-            "orchestration: fleet did not drain back to min replicas "
-            f"({fp.get('final_replicas')} at end of run)"
-        )
-    recovered = float(fp.get("recovered_goodput", "0") or 0)
-    static = float(fp.get("static_recovered_goodput", "0") or 0)
-    if recovered < min_hot_gain * max(static, 1e-9):
-        failures.append(
-            f"orchestration: recovered goodput {recovered:.1f}/s no longer "
-            f"clears {min_hot_gain}x the static series' {static:.1f}/s"
-        )
-    for key in ("planner_decisions", "orchestrated_digest", "static_digest",
-                "replica_series", "max_replicas_seen", "final_replicas",
-                "rounds", "installs", "drains", "convergence_times",
-                "recovered_goodput", "static_recovered_goodput"):
-        if key in base_fp and fp.get(key) != base_fp.get(key):
-            failures.append(
-                f"orchestration fingerprint drift: {key} changed "
-                f"({fp.get(key)!r} vs {base_fp.get(key)!r})"
-            )
-    return failures
-
-
-# -- determinism fingerprints ----------------------------------------------
+) -> Dict[str, Any]:
+    """Closed-loop echo RPCs: the full marshalling + transport path."""
+    completed, wall, cpu, net = _echo_run(clients, horizon, seed)
+    return bench_result("rpc", "rpcs_per_sec", completed, wall, cpu, {
+        "clients": clients, "sim_horizon": horizon,
+        "sim_throughput": completed / horizon, "wire_bytes": net.total_bytes,
+    })
+
+
+def bench_fig10(mode: str, clients: int = 8, n_types: int = 30,
+                seed: int = 3) -> Dict[str, Any]:
+    """Scaled-down Fig. 10 point: ``registry`` (named hash-table
+    lookups) or ``index`` (XPath over the aggregation)."""
+    from repro.experiments.fig10 import run_fig10_point
+
+    point, wall, cpu = _timed(run_fig10_point, mode, False, clients,
+                              n_types=n_types, seed=seed)
+    # simulated requests completed over the 25 s measured window
+    requests = int(round(point.throughput * 25.0))
+    return bench_result(f"fig10_{mode}", "sim_requests_per_wall_sec",
+                        requests, wall, cpu, {
+                            "sim_throughput_rps": point.throughput,
+                            "mean_response_ms": point.mean_response_ms,
+                        })
 
 
 def _mixed_kernel_scenario(seed: int) -> Simulator:
@@ -1567,116 +314,925 @@ def experiment_fingerprint(seed: int = 3) -> Dict[str, Any]:
     }
 
 
-# -- suite runner ----------------------------------------------------------
-
-QUICK_PARAMS = {
-    "kernel": {"n_procs": 32, "events_per_proc": 1500},
-    "rpc": {"clients": 4, "horizon": 15.0},
-    "fig10": {"clients": 4, "n_types": 20},
+#: kernel-suite benchmark → (callable, quick kwargs, full kwargs), in run order
+_KERNEL_BENCHES = {
+    "kernel": (bench_kernel_events, {"n_procs": 32, "events_per_proc": 1500},
+               {"n_procs": 64, "events_per_proc": 4000}),
+    "rpc": (bench_rpc_roundtrips, {"clients": 4, "horizon": 15.0},
+            {"clients": 8, "horizon": 40.0}),
+    "fig10_registry": (partial(bench_fig10, "registry"),
+                       {"clients": 4, "n_types": 20}, {"clients": 8, "n_types": 30}),
+    "fig10_index": (partial(bench_fig10, "index"),
+                    {"clients": 4, "n_types": 20}, {"clients": 8, "n_types": 30}),
 }
 
-FULL_PARAMS = {
-    "kernel": {"n_procs": 64, "events_per_proc": 4000},
-    "rpc": {"clients": 8, "horizon": 40.0},
-    "fig10": {"clients": 8, "n_types": 30},
+#: the kernel suite's ``determinism`` sections
+_KERNEL_FINGERPRINTS = {
+    "kernel_trace": kernel_trace_fingerprint,
+    "experiment": experiment_fingerprint,
 }
 
 
-#: benchmark names in suite order → the function each unit runs
-_SUITE_BENCHES = ("kernel", "rpc", "fig10_registry", "fig10_index")
-
-
-def run_bench_unit(name: str, quick: bool = False) -> Any:
-    """One suite work unit, addressable by name (the ``--jobs`` entry).
+def run_bench_unit(name: str, quick: bool = False) -> Dict[str, Any]:
+    """One kernel-suite work unit, addressable by name.
 
     Module-level so :mod:`repro.runner` can ship it to a worker as a
-    dotted path.  Benchmark units return a :class:`BenchResult`;
-    fingerprint units return their digest dict.  Every unit's seed is
-    the fixed one baked into its benchmark — repeat batches
-    *intentionally* re-run the identical workload (they measure wall
-    clock, not new behaviour), so no per-repeat seed derivation here.
+    dotted path.  Every unit's seed is the fixed one baked into its
+    benchmark — repeat batches *intentionally* re-run the identical
+    workload (they measure wall clock, not new behaviour).
     """
-    params = QUICK_PARAMS if quick else FULL_PARAMS
-    if name == "kernel":
-        return bench_kernel_events(**params["kernel"])
-    if name == "rpc":
-        return bench_rpc_roundtrips(**params["rpc"])
-    if name == "fig10_registry":
-        return bench_registry_lookups(**params["fig10"])
-    if name == "fig10_index":
-        return bench_index_queries(**params["fig10"])
-    if name == "kernel_trace_fp":
-        return kernel_trace_fingerprint()
-    if name == "experiment_fp":
-        return experiment_fingerprint()
-    raise ValueError(f"unknown bench unit {name!r}")
+    if name in _KERNEL_FINGERPRINTS:
+        return _KERNEL_FINGERPRINTS[name]()
+    fn, quick_kwargs, full_kwargs = _KERNEL_BENCHES[name]
+    return fn(**(quick_kwargs if quick else full_kwargs))
 
 
 def run_suite(quick: bool = False, repeats: int = 1,
               jobs: int = 1) -> Dict[str, Any]:
-    """Run every benchmark; keep the best (lowest-wall) of ``repeats``.
+    """The kernel suite: keep the best (lowest-wall) of ``repeats``.
 
-    With ``jobs > 1`` every (benchmark, repeat) batch — and the two
-    determinism fingerprints — fans out across worker processes via
-    :mod:`repro.runner`.  The reduction (best-of per benchmark) is
-    order-independent, and each worker measures its own RSS, so the
-    per-benchmark peak figures are genuinely per-benchmark.  The
-    worker count lands in the suite metadata: wall-clock rates from an
-    oversubscribed parallel run are not comparable to serial ones, and
-    baselines recorded under different ``jobs`` should never be
-    silently compared.
+    Every (benchmark, repeat) batch and both determinism fingerprints
+    are work units for :func:`repro.runner.run_units`, which runs them
+    inline when ``jobs <= 1`` and fans them across worker processes
+    otherwise.  Each worker measures its own RSS, so per-benchmark peak
+    figures are genuinely per-benchmark.  The worker count lands in the
+    suite metadata: wall-clock rates from an oversubscribed parallel
+    run are not comparable to serial ones, and :class:`SameJobs`
+    refuses to compare them.
     """
     repeats = max(1, repeats)
-    if jobs > 1:
-        from repro.runner import WorkUnit, run_units
-
-        units = [
-            WorkUnit(f"{name}#r{i}", "repro.perf:run_bench_unit",
-                     {"name": name, "quick": quick})
-            for name in _SUITE_BENCHES
-            for i in range(repeats)
-        ]
-        units += [
-            WorkUnit("kernel_trace_fp", "repro.perf:run_bench_unit",
-                     {"name": "kernel_trace_fp"}),
-            WorkUnit("experiment_fp", "repro.perf:run_bench_unit",
-                     {"name": "experiment_fp"}),
-        ]
-        outputs = run_units(units, jobs=jobs)
-        results = []
-        for index, name in enumerate(_SUITE_BENCHES):
-            batch = outputs[index * repeats:(index + 1) * repeats]
-            results.append(min(batch, key=lambda r: r.wall_seconds))
-        kernel_trace = outputs[-2]
-        experiment = outputs[-1]
-    else:
-        params = QUICK_PARAMS if quick else FULL_PARAMS
-
-        def best(factory) -> BenchResult:
-            candidates = [factory() for _ in range(repeats)]
-            return min(candidates, key=lambda r: r.wall_seconds)
-
-        results = [
-            best(lambda: bench_kernel_events(**params["kernel"])),
-            best(lambda: bench_rpc_roundtrips(**params["rpc"])),
-            best(lambda: bench_registry_lookups(**params["fig10"])),
-            best(lambda: bench_index_queries(**params["fig10"])),
-        ]
-        kernel_trace = kernel_trace_fingerprint()
-        experiment = experiment_fingerprint()
-    suite = {
+    units = [
+        WorkUnit(f"{name}#r{i}", "repro.perf:run_bench_unit",
+                 {"name": name, "quick": quick})
+        for name in _KERNEL_BENCHES
+        for i in range(repeats)
+    ]
+    units += [WorkUnit(name, "repro.perf:run_bench_unit", {"name": name})
+              for name in _KERNEL_FINGERPRINTS]
+    outputs = run_units(units, jobs=jobs)
+    results = {
+        name: min(outputs[index * repeats:(index + 1) * repeats],
+                  key=lambda r: r["wall_seconds"])
+        for index, name in enumerate(_KERNEL_BENCHES)
+    }
+    return {
         "suite": "bench_wallclock",
         "mode": "quick" if quick else "full",
         "repeats": repeats,
         "jobs": jobs,
-        "results": {r.name: r.to_dict() for r in results},
-        "determinism": {
-            "kernel_trace": kernel_trace,
-            "experiment": experiment,
-        },
+        "results": results,
+        "determinism": dict(zip(_KERNEL_FINGERPRINTS,
+                                outputs[-len(_KERNEL_FINGERPRINTS):])),
         "peak_rss_kb": peak_rss_kb(),
     }
-    return suite
+
+
+# -- resolution suite: the Fig. 14 pair (BENCH_resolution.json) ------------
+
+
+def resolution_suite(quick: bool = False, n_sites: int = 16,
+                     seed: int = 21) -> Dict[str, Any]:
+    """Broadcast baseline vs scaled resolution path at one VO size.
+
+    The headline rate is resolutions simulated per wall second (both
+    series); the message counts and result-set digests are simulated,
+    so they pin the resolution walk.  Both modes run the same sizes.
+    """
+    from repro.experiments.fig14 import run_fig14_point, run_revalidation_point
+
+    (base, opt, reval), wall, cpu = _timed(lambda: (
+        run_fig14_point(n_sites, optimized=False, seed=seed),
+        run_fig14_point(n_sites, optimized=True, seed=seed),
+        run_revalidation_point(),
+    ))
+    result = bench_result(
+        "resolution", "sim_resolutions_per_wall_sec",
+        base.resolutions + opt.resolutions, wall, cpu, {
+            "n_sites": n_sites,
+            "baseline_messages_per_resolution": base.messages_per_resolution,
+            "optimized_messages_per_resolution": opt.messages_per_resolution,
+            "message_ratio": (base.messages_per_resolution
+                              / max(opt.messages_per_resolution, 1e-9)),
+            "results_equal": base.result_digest == opt.result_digest,
+            "revalidation_per_entry_messages": reval.per_entry_messages,
+            "revalidation_batched_messages": reval.batched_messages,
+        })
+    return _suite("resolution", quick, [result], {
+        "n_sites": n_sites,
+        "seed": seed,
+        "resolutions": base.resolutions,
+        "baseline_workload_messages": base.workload_messages,
+        "optimized_workload_messages": opt.workload_messages,
+        "baseline_result_digest": base.result_digest,
+        "optimized_result_digest": opt.result_digest,
+    })
+
+
+# -- provisioning suite: the Fig. 15 pair (BENCH_provisioning.json) --------
+
+
+def provisioning_suite(quick: bool = False, n_sites: int = 16,
+                       seed: int = 29) -> Dict[str, Any]:
+    """Serial origin-only rollout vs parallel + replica-aware transfers.
+
+    The headline rate is installations simulated per wall second (both
+    series); rollout times, message and byte counts and the
+    deployment-set digests are simulated, so they pin the pipeline.
+    """
+    from repro.experiments.fig15 import run_fig15_point
+
+    (base, opt), wall, cpu = _timed(lambda: (
+        run_fig15_point(n_sites, optimized=False, seed=seed),
+        run_fig15_point(n_sites, optimized=True, seed=seed),
+    ))
+    result = bench_result(
+        "provisioning", "sim_installs_per_wall_sec",
+        base.installed + opt.installed, wall, cpu, {
+            "n_sites": n_sites,
+            "baseline_rollout_elapsed": base.rollout_elapsed,
+            "optimized_rollout_elapsed": opt.rollout_elapsed,
+            "rollout_speedup": (base.rollout_elapsed
+                                / max(opt.rollout_elapsed, 1e-9)),
+            "baseline_origin_bytes_out": base.origin_bytes_out,
+            "optimized_origin_bytes_out": opt.origin_bytes_out,
+            "replica_hits": opt.replica_hits,
+            "results_equal": base.result_digest == opt.result_digest,
+        })
+    return _suite("provisioning", quick, [result], {
+        "n_sites": n_sites,
+        "seed": seed,
+        "installed": base.installed,
+        "baseline_rollout_elapsed": repr(base.rollout_elapsed),
+        "optimized_rollout_elapsed": repr(opt.rollout_elapsed),
+        "baseline_messages": base.messages,
+        "optimized_messages": opt.messages,
+        "baseline_origin_bytes_out": base.origin_bytes_out,
+        "optimized_origin_bytes_out": opt.origin_bytes_out,
+        "baseline_result_digest": base.result_digest,
+        "optimized_result_digest": opt.result_digest,
+    })
+
+
+# -- faults suite: the Fig. 16 churn pair (BENCH_faults.json) --------------
+
+
+def faults_suite(quick: bool = False, seed: int = 33) -> Dict[str, Any]:
+    """Fragile vs resilient under super-peer churn.
+
+    Runs the full experiment including its same-seed determinism
+    double-run of the resilient point; the headline rate counts
+    simulated client requests per wall second across all three runs.
+    Success rates, takeover latencies and per-request outcome digests
+    are simulated and deterministic.
+    """
+    from repro.experiments.fig16 import run_fig16
+
+    (fragile, resilient), wall, cpu = _timed(run_fig16, seed=seed)
+    # the determinism verification re-runs the resilient point
+    requests = (fragile.resolutions + fragile.provisions
+                + 2 * (resilient.resolutions + resilient.provisions))
+    result = bench_result("faults", "sim_requests_per_wall_sec", requests,
+                          wall, cpu, {
+        "n_sites": resilient.n_sites,
+        "crashes": resilient.crashes,
+        "resilient_resolution_success": resilient.resolution_success_rate,
+        "fragile_resolution_success": fragile.resolution_success_rate,
+        "resilient_provision_success": resilient.provision_success_rate,
+        "fragile_provision_success": fragile.provision_success_rate,
+        "reelections": resilient.reelections,
+        "fragile_reelections": fragile.reelections,
+        "retries": resilient.retries,
+        "mean_recovery_s": resilient.mean_recovery_s,
+    })
+    return _suite("faults", quick, [result], {
+        "seed": seed,
+        "crashes": resilient.crashes,
+        "reelections": resilient.reelections,
+        "fragile_reelections": fragile.reelections,
+        "resilient_resolution_failures": resilient.resolution_failures,
+        "fragile_resolution_failures": fragile.resolution_failures,
+        "resilient_provision_failures": resilient.provision_failures,
+        "fragile_provision_failures": fragile.provision_failures,
+        "retries": resilient.retries,
+        "recovery_times": [repr(t) for t in resilient.recovery_times],
+        "fragile_result_digest": fragile.result_digest,
+        "resilient_result_digest": resilient.result_digest,
+    })
+
+
+# -- obs suite: instrumentation overhead + SLO judgements (BENCH_obs.json) --
+
+
+def _echo_tier(tier: str, clients: int, horizon: float, seed: int) -> Dict[str, Any]:
+    """The echo workload at one observability tier.
+
+    ``"off"`` is null observability (the production default), ``"obs"``
+    adds the tracer and metrics interceptors, ``"slo"`` adds an
+    availability objective over the echo endpoint so every RPC crosses
+    the SLO interceptor and engine.  Seed and topology are identical
+    across tiers, so rate deltas are pure instrumentation overhead.
+    """
+    from repro.obs import Observability
+    from repro.obs.slo import SLOSpec
+
+    obs = None
+    if tier == "obs":
+        obs = Observability(enabled=True, sample_interval=5.0)
+    elif tier == "slo":
+        obs = Observability(enabled=True, sample_interval=5.0, slos=(
+            SLOSpec(name="echo-availability", endpoint="echo.*", target=0.999),))
+    completed, wall, _, _ = _echo_run(clients, horizon, seed, obs=obs)
+    return {"rpcs": completed, "wall_seconds": wall,
+            "rpcs_per_wall_sec": completed / wall,
+            "sim_throughput": completed / horizon}
+
+
+def obs_suite(quick: bool = False, seed: int = 33) -> Dict[str, Any]:
+    """Echo RPCs with obs off / on / on+SLOs, plus the health plane's
+    judgements on the quick Fig. 16 SLO pair.
+
+    Simulated throughput must be identical across tiers (observability
+    charges no simulated time); only wall clock differs.  Alert counts,
+    detection latencies (MTTD), repair times (MTTR), error-budget
+    verdicts and request digests are simulated, so they pin the plane.
+    """
+    from repro.experiments.fig16 import run_fig16_slo
+
+    clients, horizon = (4, 15.0) if quick else (8, 40.0)
+    runs, _, cpu = _timed(lambda: {tier: _echo_tier(tier, clients, horizon, 11)
+                                   for tier in ("off", "obs", "slo")})
+    base_rate = runs["off"]["rpcs_per_wall_sec"]
+    result = bench_result(
+        "obs", "instrumented_rpcs_per_wall_sec",
+        sum(r["rpcs"] for r in runs.values()),
+        sum(r["wall_seconds"] for r in runs.values()), cpu, {
+            "clients": clients,
+            "sim_horizon": horizon,
+            "null_rpcs_per_wall_sec": base_rate,
+            "obs_rpcs_per_wall_sec": runs["obs"]["rpcs_per_wall_sec"],
+            "slo_rpcs_per_wall_sec": runs["slo"]["rpcs_per_wall_sec"],
+            "obs_overhead_frac": 1.0 - runs["obs"]["rpcs_per_wall_sec"] / base_rate,
+            "slo_overhead_frac": 1.0 - runs["slo"]["rpcs_per_wall_sec"] / base_rate,
+            "sim_throughput_equal": len(
+                {r["sim_throughput"] for r in runs.values()}) == 1,
+        }, value=runs["slo"]["rpcs_per_wall_sec"])
+
+    fragile, resilient = run_fig16_slo(seed=seed, quick=True,
+                                       verify_determinism=False)
+    return _suite("obs", quick, [result], {
+        "seed": seed,
+        "crashes": resilient.crashes,
+        "fragile_alerts_fired": fragile.alerts_fired,
+        "resilient_alerts_fired": resilient.alerts_fired,
+        "undetected_crashes": (fragile.undetected_crashes
+                               + resilient.undetected_crashes),
+        "fragile_detection_latencies": [repr(t) for t in
+                                        fragile.detection_latencies],
+        "resilient_detection_latencies": [repr(t) for t in
+                                          resilient.detection_latencies],
+        "fragile_repair_times": [repr(t) for t in fragile.repair_times],
+        "resilient_repair_times": [repr(t) for t in resilient.repair_times],
+        "fragile_verdicts": dict(sorted(fragile.slo_verdicts.items())),
+        "resilient_verdicts": dict(sorted(resilient.slo_verdicts.items())),
+        "fragile_result_digest": fragile.result_digest,
+        "resilient_result_digest": resilient.result_digest,
+    })
+
+
+# -- storage suite: the Fig. 17 backends (BENCH_storage.json) --------------
+
+
+def storage_suite(quick: bool = False, shards: int = 16,
+                  seed: int = 23) -> Dict[str, Any]:
+    """Flat dict vs consistent-hash shards.
+
+    The benchmark loads both backends at a 10^3 anchor and at the sweep
+    size (10^4 quick, 10^5 full) and reports warm per-lookup CPU; the
+    in-run *flatness ratio* (sharded per-lookup at the sweep size over
+    the anchor) is a same-machine ratio, so it travels across hosts.
+    The fingerprint — placement digests, shard occupancy and one
+    simulated routing pair at 4 super-peer groups — uses the same cheap
+    sizes in both modes.
+    """
+    from repro.experiments.fig17 import (
+        _load_backend,
+        _lookup_digest,
+        _lookup_sample,
+        run_routing_point,
+        run_storage_point,
+    )
+    from repro.glare.storage import DictBackend, StorageConfig
+
+    n_types, anchor_size = (10_000 if quick else 100_000), 1_000
+    (anchor, point), wall, cpu = _timed(lambda: (
+        run_storage_point(anchor_size, shard_counts=(shards,)),
+        run_storage_point(n_types, shard_counts=(shards,)),
+    ))
+    sharded = {p.backend: p for p in point}[f"sharded/{shards}"]
+    sharded_anchor = {p.backend: p for p in anchor}[f"sharded/{shards}"]
+    result = bench_result(
+        "storage", "sharded_lookups_per_wall_sec",
+        2 * (n_types + anchor_size), wall, cpu, {  # records loaded
+            "n_types": n_types,
+            "shards": shards,
+            "dict_per_lookup_ns": point[0].per_lookup_ns,
+            "sharded_per_lookup_ns": sharded.per_lookup_ns,
+            "flatness_ratio": (sharded.per_lookup_ns
+                               / sharded_anchor.per_lookup_ns),
+            "max_shard": sharded.max_shard,
+            "imbalance": sharded.imbalance,
+            "digests_equal": all(p.digest_matches_dict for p in point),
+        }, value=1e9 / sharded.per_lookup_ns)
+
+    placement: Dict[str, Any] = {}
+    for size in (1_000, 10_000):
+        sample = _lookup_sample(size)
+        flat = DictBackend()
+        _load_backend(flat, size)
+        placement[f"dict/{size}"] = _lookup_digest(flat, sample)
+        for count in (4, 16):
+            backend = StorageConfig.sharded(shards=count).make_backend()
+            _load_backend(backend, size)
+            placement[f"sharded/{count}/{size}"] = {
+                "lookup_digest": _lookup_digest(backend, sample),
+                "shard_sizes": dict(sorted(backend.shard_sizes().items())),
+            }
+    base = run_routing_point(4, 1_000, routed=False, seed=seed)
+    routed = run_routing_point(4, 1_000, routed=True, seed=seed)
+    return _suite("storage", quick, [result], {
+        "seed": seed,
+        "placement": placement,
+        "baseline_workload_messages": base.workload_messages,
+        "routed_workload_messages": routed.workload_messages,
+        "routed_route_hits": routed.shard_route_hits,
+        "routed_fallbacks": routed.shard_fallbacks,
+        "baseline_result_digest": base.result_digest,
+        "routed_result_digest": routed.result_digest,
+    })
+
+
+# -- workload suite: the Fig. 18 open-loop plane (BENCH_workload.json) -----
+
+
+def bench_workload(target_arrivals: int = 1_500_000, seed: int = 17) -> Dict[str, Any]:
+    """Arrival-engine throughput: generate + schedule a diurnal trace.
+
+    Generates a non-homogeneous (two-region diurnal) arrival trace
+    sized to ``target_arrivals`` and injects it into a bare simulator
+    as same-timestamp cohorts, running the agenda to exhaustion.  The
+    headline rate counts *both* phases — an arrival only counts once
+    its cohort event has actually dispatched — so the figure is the
+    end-to-end cost of putting one open-loop user on the wire.
+    """
+    from repro.load.arrivals import DiurnalRate, NHPoissonProcess
+    from repro.load.inject import CohortInjector
+
+    horizon = 50.0
+    # two staggered regions, weights summing to 1 => mean rate == base
+    rate = DiurnalRate(target_arrivals / horizon, amplitude=0.8,
+                       period=horizon, regions=((0.0, 0.6), (0.3 * horizon, 0.4)))
+    model = NHPoissonProcess(rate, name="bench-diurnal")
+
+    start = time.perf_counter()
+    cpu_start = time.process_time()
+    times = model.sample(horizon, seed)
+    generated = time.perf_counter()
+
+    sim = Simulator(seed=seed)
+    injector = CohortInjector(sim, times, lambda t, i: None, tick=0.005)
+    injector.start()
+    sim.run()
+    cpu = time.process_time() - cpu_start
+    wall = time.perf_counter() - start
+    if injector.fired != times.size:  # pragma: no cover - harness invariant
+        raise RuntimeError(
+            f"cohort injection dropped arrivals: fired {injector.fired} "
+            f"of {times.size}"
+        )
+    return bench_result("workload", "arrivals_per_wall_sec", int(times.size),
+                        wall, cpu, {
+        "target_arrivals": target_arrivals,
+        "arrivals": int(times.size),
+        "cohorts": injector.cohorts,
+        "generate_seconds": generated - start,
+        "schedule_seconds": wall - (generated - start),
+        "final_time": sim.now,
+    })
+
+
+def bench_workload_memory(
+    target_arrivals: int = 1_000_000, anchor_arrivals: int = 50_000
+) -> Dict[str, Any]:
+    """Memory flatness of the full open-loop fig18 path.
+
+    Runs the fixed-rate overload scenario at an anchor size and at
+    ``target_arrivals`` (a 20x step in the full suite), reading RSS
+    before and after each.  A small throwaway run first pages in the
+    code and numpy buffers so the anchor delta is not polluted by
+    one-time warm-up.  Streaming stats bound the per-run state to the
+    fixed histogram grid plus one window row per elapsed window, so the
+    target run's RSS growth must stay O(1) in the arrival count — one
+    absolute cap serves quick and full sizes precisely because flat
+    means size-independent.
+    """
+    from repro.experiments.fig18 import run_fig18_memory
+
+    run_fig18_memory(max(anchor_arrivals // 5, 2_000))  # warm-up, unmeasured
+
+    rss0 = current_rss_kb()
+    anchor = run_fig18_memory(anchor_arrivals)
+    anchor_growth = current_rss_kb() - rss0
+
+    rss1 = current_rss_kb()
+    out, wall, cpu = _timed(run_fig18_memory, target_arrivals)
+    target_growth = current_rss_kb() - rss1
+
+    arrivals = int(out["arrivals"])
+    return bench_result("workload_memory", "sim_arrivals_per_wall_sec",
+                        arrivals, wall, cpu, {
+        "target_arrivals": target_arrivals,
+        "anchor_arrivals": int(anchor["arrivals"]),
+        "anchor_rss_growth_kb": int(anchor_growth),
+        "target_rss_growth_kb": int(target_growth),
+        "rss_bytes_per_arrival": 1024.0 * max(target_growth, 0) / arrivals,
+        "stats_footprint_bytes": int(out["stats_footprint_bytes"]),
+        "completed": int(out["completed"]),
+        "shed": int(out["shed"]),
+        "digest": out["digest"],
+    })
+
+
+def workload_suite(quick: bool = False, seed: int = 41) -> Dict[str, Any]:
+    """Arrival-engine rate, open-loop memory flatness, trace digests.
+
+    Only the two benchmarks scale down under ``quick``.  The
+    fingerprint — sha256 over each generator model's raw float64
+    timestamps, the cohort count of the quantisation grid and one small
+    overload point pinning mix assignment, admission shedding and the
+    streaming-stats merge — runs the same sizes in both modes.
+    """
+    from repro.experiments.fig18 import run_fig18_point
+    from repro.load.arrivals import (
+        DiurnalRate,
+        MMPPProcess,
+        NHPoissonProcess,
+        ParetoSessions,
+        PoissonProcess,
+        StepRate,
+    )
+    from repro.load.inject import quantize_ticks
+
+    if quick:
+        engine = bench_workload(target_arrivals=200_000)
+        memory = bench_workload_memory(target_arrivals=48_000,
+                                       anchor_arrivals=12_000)
+    else:
+        engine = bench_workload()
+        memory = bench_workload_memory()
+
+    horizon = 40.0
+    traces = {
+        "poisson": PoissonProcess(500.0).sample(horizon, seed),
+        "diurnal": NHPoissonProcess(
+            DiurnalRate(400.0, period=horizon, regions=((0.0, 0.6), (12.0, 0.4)))
+        ).sample(horizon, seed),
+        "flash": NHPoissonProcess(
+            StepRate(200.0, 2_000.0, 15.0, 20.0), name="nhpp-step"
+        ).sample(horizon, seed),
+        "mmpp": MMPPProcess().sample(horizon, seed),
+        "sessions": ParetoSessions(PoissonProcess(30.0, name="session-starts"))
+        .sample(horizon, seed),
+    }
+    point = run_fig18_point(
+        multiple=2.0, capacity=600.0, seed=seed, n_sites=5, n_types=4,
+        horizon=10.0, warmup=2.0,
+    )
+    return _suite("workload", quick, [engine, memory], {
+        "seed": seed,
+        "models": {
+            name: {"arrivals": int(times.size),
+                   "sha256": hashlib.sha256(times.tobytes()).hexdigest()}
+            for name, times in traces.items()
+        },
+        "poisson_cohorts": int(np.unique(
+            quantize_ticks(traces["poisson"], 0.005)).size),
+        "point_completed": point.completed,
+        "point_shed": point.shed,
+        "point_timeouts": point.timeouts,
+        "point_goodput": repr(point.goodput),
+        "point_shed_by_op": point.server_shed_by_op,
+        "point_result_digest": point.result_digest,
+    })
+
+
+# -- orchestration suite: the Fig. 19 control loop (BENCH_orchestration.json)
+
+
+def _planner_decision_digest(seed: int = 43) -> str:
+    """Digest of the pure planner over a grid of synthetic worlds.
+
+    No simulator at all: every (utilization level, shed level, health
+    mix, placement count) cell is planned once and its TypePlan folded
+    into one sha256.  Catches policy drift — threshold comparisons,
+    tie-breaking, clamping — independently of the simulation around it.
+    """
+    from repro.orchestrate.planner import Observed, Planner, SiteObservation
+    from repro.orchestrate.spec import DeploymentSpec, OrchestrationConfig
+
+    planner = Planner(OrchestrationConfig())
+    spec = DeploymentSpec(type_name="T", min_replicas=1, max_replicas=3,
+                          target_utilization=0.6)
+    digest = hashlib.sha256(f"planner|{seed}".encode())
+    site_names = ("a", "b", "c", "d")
+    for busy in (0.05, 0.3, 0.65, 0.95):
+        for shed in (0, 5):
+            for bad in ("", "a", "d"):
+                for n_placed in (0, 1, 2, 4):
+                    sites = tuple(
+                        SiteObservation(
+                            site=name,
+                            utilization=busy * (1.0 + 0.1 * index),
+                            load=busy * 4.0,
+                            run_queue=index,
+                            shed=shed if index == 0 else 0,
+                            health="down" if name == bad else "healthy",
+                        )
+                        for index, name in enumerate(site_names)
+                    )
+                    observed = Observed(
+                        sites=sites,
+                        placements={"T": site_names[:n_placed]},
+                    )
+                    tp = planner.plan([spec], observed).types[0]
+                    digest.update(
+                        f"{busy}|{shed}|{bad}|{n_placed}=>"
+                        f"{tp.desired}|{tp.placements}|{tp.add}|{tp.remove}"
+                        f"|{tp.reason};".encode()
+                    )
+    return digest.hexdigest()
+
+
+def orchestration_suite(quick: bool = False, seed: int = 43) -> Dict[str, Any]:
+    """The desired-state control loop riding a flash crowd.
+
+    The benchmark times the orchestrated flash (observe → plan →
+    actuate rounds over a live open-loop workload) as reconcile rounds
+    per wall second.  The orchestrated and static series digests, the
+    replica trajectory, convergence times and a pure-planner decision
+    digest pin the loop's behaviour.  Quick and full modes run the same
+    fixed shape, so the fingerprint pins one exact simulation.
+    """
+    from repro.experiments.fig19 import run_fig19_flash
+
+    shape = dict(seed=seed, n_sites=6, max_replicas=3, horizon=40.0,
+                 warmup=4.0, spike_start=10.0, spike_end=26.0, adapt=8.0)
+    flash, wall, cpu = _timed(run_fig19_flash, orchestrated=True, **shape)
+    static = run_fig19_flash(orchestrated=False, **shape)
+    result = bench_result(
+        "orchestration", "reconcile_rounds_per_wall_sec",
+        flash.reconcile_rounds, wall, cpu, {
+            "rounds": flash.reconcile_rounds,
+            "installs": flash.installs,
+            "drains": flash.drains,
+            "max_replicas_seen": flash.max_replicas_seen,
+            "final_replicas": flash.final_replicas,
+            "convergence_times": [round(t, 6) for t in flash.convergence_times],
+        })
+    return _suite("orchestration", quick, [result], {
+        "seed": seed,
+        "planner_decisions": _planner_decision_digest(seed),
+        "orchestrated_digest": flash.result_digest,
+        "static_digest": static.result_digest,
+        "replica_series": [[round(t, 3), n] for t, n in flash.replica_series],
+        "max_replicas_seen": flash.max_replicas_seen,
+        "final_replicas": flash.final_replicas,
+        "rounds": flash.reconcile_rounds,
+        "installs": flash.installs,
+        "drains": flash.drains,
+        "convergence_times": [repr(round(t, 6))
+                              for t in flash.convergence_times],
+        "recovered_goodput": repr(flash.phases["recovered"]["goodput"]),
+        "static_recovered_goodput": repr(static.phases["recovered"]["goodput"]),
+    })
+
+
+# -- typed checks ------------------------------------------------------------
+
+
+class Missing(LookupError):
+    """A check's input is absent from the run or from the baseline."""
+
+
+def lookup(doc: Dict[str, Any], path: str, where: str) -> Any:
+    """The value at dotted ``path`` in ``doc``; :class:`Missing` if absent."""
+    node: Any = doc
+    for part in path.split("."):
+        if not isinstance(node, dict) or part not in node:
+            raise Missing(f"{where} has no {path}")
+        node = node[part]
+    return node
+
+
+@dataclass(frozen=True)
+class Check:
+    """One gate: reads ``path`` and returns a failure text or ``None``."""
+
+    path: str
+
+    @property
+    def label(self) -> str:
+        """Names the row in failure messages."""
+        return f"{type(self).__name__} {self.path}"
+
+    def current(self, suite: Dict[str, Any]) -> Any:
+        return lookup(suite, self.path, "run")
+
+    def base(self, baseline: Dict[str, Any]) -> Any:
+        return lookup(baseline, self.path, "baseline")
+
+    def failure(self, suite: Dict[str, Any],
+                baseline: Dict[str, Any]) -> Optional[str]:
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class Floor(Check):
+    """The run's value must be at least ``bound``."""
+
+    bound: float = 0.0
+
+    def failure(self, suite, baseline):
+        value = self.current(suite)
+        if value < self.bound:
+            return f"{value:,.4g} is below the floor {self.bound:,.4g}"
+        return None
+
+
+@dataclass(frozen=True)
+class Ceiling(Check):
+    """The run's value must be at most ``bound``."""
+
+    bound: float = 0.0
+
+    def failure(self, suite, baseline):
+        value = self.current(suite)
+        if value > self.bound:
+            return f"{value:,.4g} exceeds the ceiling {self.bound:,.4g}"
+        return None
+
+
+@dataclass(frozen=True)
+class MaxDrop(Check):
+    """The run may fall at most ``bound`` (a fraction) below the baseline."""
+
+    bound: float = 0.0
+
+    def failure(self, suite, baseline):
+        value, base = self.current(suite), self.base(baseline)
+        if value < base * (1.0 - self.bound):
+            return (f"{value:,.4g} is {1.0 - value / base:.1%} below baseline "
+                    f"{base:,.4g} (allowed {self.bound:.0%})")
+        return None
+
+
+@dataclass(frozen=True)
+class MaxRise(Check):
+    """The run may rise at most ``bound`` (a fraction) above the baseline."""
+
+    bound: float = 0.0
+
+    def failure(self, suite, baseline):
+        value, base = self.current(suite), self.base(baseline)
+        if value > base * (1.0 + self.bound):
+            return (f"{value:,.4g} rose above baseline {base:,.4g} "
+                    f"(allowed {self.bound:.0%})")
+        return None
+
+
+@dataclass(frozen=True)
+class MaxIncrease(Check):
+    """The run may exceed the baseline by at most ``bound`` (additive)."""
+
+    bound: float = 0.0
+
+    def failure(self, suite, baseline):
+        value, base = self.current(suite), self.base(baseline)
+        if value > base + self.bound:
+            return (f"{value:.3f} grew more than {self.bound:.2f} over "
+                    f"baseline {base:.3f}")
+        return None
+
+
+@dataclass(frozen=True)
+class Match(Check):
+    """The run's value must equal the baseline's exactly."""
+
+    def failure(self, suite, baseline):
+        value, base = self.current(suite), self.base(baseline)
+        if value != base:
+            return f"drift: {value!r} vs baseline {base!r}"
+        return None
+
+
+@dataclass(frozen=True)
+class Expect(Check):
+    """The run's value must equal ``value``."""
+
+    value: Any = None
+
+    def failure(self, suite, baseline):
+        actual = self.current(suite)
+        if actual != self.value:
+            return f"{actual!r}, expected {self.value!r}"
+        return None
+
+
+_RELATIONS = {"<": operator.lt, ">=": operator.ge, "==": operator.eq}
+
+
+@dataclass(frozen=True)
+class Relation(Check):
+    """Two values of one run: ``path op factor * other``.
+
+    Ordering relations compare the values as floats (some fingerprint
+    figures are ``repr`` strings); ``==`` compares them as they are.
+    """
+
+    op: str = "=="
+    other: str = ""
+    factor: float = 1.0
+
+    @property
+    def label(self) -> str:
+        scale = f"{self.factor:g} * " if self.factor != 1.0 else ""
+        return f"Relation {self.path} {self.op} {scale}{self.other}"
+
+    def failure(self, suite, baseline):
+        left, right = self.current(suite), lookup(suite, self.other, "run")
+        if self.op != "==":
+            left, right = float(left), self.factor * float(right)
+        if not _RELATIONS[self.op](left, right):
+            return f"{left!r} vs {right!r}"
+        return None
+
+
+@dataclass(frozen=True)
+class SameJobs(Check):
+    """Refuse to compare rates recorded under a different ``--jobs``.
+
+    Concurrent workers timeshare cores, so rates from different worker
+    counts are not the same measurement.  When this check fails, the
+    suite's :class:`MaxDrop` / :class:`MaxRise` rows are skipped rather
+    than producing a bogus pass or fail.
+    """
+
+    path: str = "jobs"
+
+    def failure(self, suite, baseline):
+        jobs, base = self.current(suite), self.base(baseline)
+        if jobs != base:
+            return (f"suite ran with jobs={jobs} but the baseline was recorded "
+                    f"with jobs={base}; rates are not comparable — rerun with "
+                    "matching --jobs or re-record the baseline")
+        return None
+
+
+def _match(section: str, *keys: str) -> Tuple[Match, ...]:
+    return tuple(Match(f"{section}.{key}") for key in keys)
+
+
+# -- the gate table ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One row of the gate table."""
+
+    name: str
+    run: Callable[..., Dict[str, Any]]
+    checks: Tuple[Check, ...]
+
+    @property
+    def baseline(self) -> str:
+        """The committed baseline file, relative to the repo root."""
+        return f"BENCH_{self.name}.json"
+
+    def work_unit(self, **kwargs: Any) -> WorkUnit:
+        return WorkUnit(self.name, f"{__name__}:{self.run.__name__}", kwargs)
+
+
+_RES = "results.resolution.details"
+_PROV = "results.provisioning.details"
+_FAULTS = "results.faults.details"
+_OBS = "results.obs.details"
+_STORE = "results.storage.details"
+
+#: every gate, in ``--check-all`` run order
+SUITES: Dict[str, Suite] = {row.name: row for row in (
+    Suite("kernel", run_suite, (
+        SameJobs(),
+        MaxDrop("results.kernel.value", 0.25),
+        MaxDrop("results.rpc.value", 0.25),
+        *_match("determinism.kernel_trace", "seed", "events", "final_time",
+                "sha256"),
+        *_match("determinism.experiment", "fig10_throughput",
+                "fig10_mean_response_ms", "fig10_index_throughput",
+                "fig10_index_mean_response_ms", "scenario_messages",
+                "scenario_wire_bytes", "scenario_site_bytes_out",
+                "scenario_taken_at"),
+    )),
+    Suite("resolution", resolution_suite, (
+        MaxRise(f"{_RES}.baseline_messages_per_resolution", 0.25),
+        MaxRise(f"{_RES}.optimized_messages_per_resolution", 0.25),
+        Expect(f"{_RES}.results_equal", True),
+        *_match("fingerprint", "baseline_result_digest",
+                "optimized_result_digest"),
+    )),
+    Suite("provisioning", provisioning_suite, (
+        Floor(f"{_PROV}.rollout_speedup", 3.0),
+        Expect(f"{_PROV}.results_equal", True),
+        MaxRise("fingerprint.optimized_origin_bytes_out", 0.0),
+        *_match("fingerprint", "baseline_result_digest",
+                "optimized_result_digest"),
+    )),
+    Suite("faults", faults_suite, (
+        Floor(f"{_FAULTS}.resilient_resolution_success", 0.95),
+        Floor(f"{_FAULTS}.resilient_provision_success", 0.95),
+        Relation(f"{_FAULTS}.fragile_resolution_success", "<",
+                 f"{_FAULTS}.resilient_resolution_success"),
+        Floor(f"{_FAULTS}.reelections", 1),
+        Expect(f"{_FAULTS}.fragile_reelections", 0),
+        *_match("fingerprint", "fragile_result_digest",
+                "resilient_result_digest", "recovery_times", "crashes",
+                "reelections"),
+    )),
+    Suite("obs", obs_suite, (
+        Ceiling(f"{_OBS}.obs_overhead_frac", 0.75),
+        MaxIncrease(f"{_OBS}.obs_overhead_frac", 0.15),
+        Ceiling(f"{_OBS}.slo_overhead_frac", 0.75),
+        MaxIncrease(f"{_OBS}.slo_overhead_frac", 0.15),
+        Expect(f"{_OBS}.sim_throughput_equal", True),
+        Expect("fingerprint.undetected_crashes", 0),
+        Expect("fingerprint.fragile_verdicts.client-availability", "exhausted"),
+        Expect("fingerprint.resilient_verdicts.client-availability", "met"),
+        *_match("fingerprint", "crashes", "fragile_alerts_fired",
+                "resilient_alerts_fired", "fragile_detection_latencies",
+                "resilient_detection_latencies", "fragile_repair_times",
+                "resilient_repair_times", "fragile_verdicts",
+                "resilient_verdicts", "fragile_result_digest",
+                "resilient_result_digest"),
+    )),
+    Suite("storage", storage_suite, (
+        Ceiling(f"{_STORE}.flatness_ratio", 1.5),
+        Expect(f"{_STORE}.digests_equal", True),
+        Relation("fingerprint.baseline_result_digest", "==",
+                 "fingerprint.routed_result_digest"),
+        MaxRise("fingerprint.routed_workload_messages", 0.25),
+        *_match("fingerprint", "placement", "baseline_workload_messages",
+                "routed_route_hits", "routed_fallbacks",
+                "baseline_result_digest", "routed_result_digest"),
+    )),
+    Suite("workload", workload_suite, (
+        Floor("results.workload.value", 1_000_000.0),
+        Ceiling("results.workload_memory.details.target_rss_growth_kb", 131_072),
+        Ceiling("results.workload_memory.details.stats_footprint_bytes",
+                1_000_000),
+        *_match("fingerprint", "models", "poisson_cohorts", "point_completed",
+                "point_shed", "point_timeouts", "point_goodput",
+                "point_shed_by_op", "point_result_digest"),
+    )),
+    Suite("orchestration", orchestration_suite, (
+        MaxDrop("results.orchestration.value", 0.25),
+        Expect("fingerprint.final_replicas", 1),
+        Relation("fingerprint.recovered_goodput", ">=",
+                 "fingerprint.static_recovered_goodput", factor=1.2),
+        *_match("fingerprint", "planner_decisions", "orchestrated_digest",
+                "static_digest", "replica_series", "max_replicas_seen",
+                "final_replicas", "rounds", "installs", "drains",
+                "convergence_times", "recovered_goodput",
+                "static_recovered_goodput"),
+    )),
+)}
+
+
+def compare_to_baseline(name: str, suite: Dict[str, Any],
+                        baseline: Dict[str, Any]) -> List[str]:
+    """Run row ``name``'s checks; one failure text per failed check."""
+    failures: List[str] = []
+    refused = False
+    for check in SUITES[name].checks:
+        if refused and isinstance(check, (MaxDrop, MaxRise)):
+            continue
+        try:
+            problem = check.failure(suite, baseline)
+        except Missing as missing:
+            problem = f"missing measurement: {missing}"
+        except (TypeError, ValueError) as error:
+            problem = f"unreadable measurement: {error}"
+        if problem:
+            failures.append(f"{name}: {check.label}: {problem}")
+            refused = refused or isinstance(check, SameJobs)
+    return failures
 
 
 def dump_suite(suite: Dict[str, Any], path: str) -> None:
@@ -1684,43 +1240,3 @@ def dump_suite(suite: Dict[str, Any], path: str) -> None:
     with open(path, "w") as handle:
         json.dump(suite, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def compare_to_baseline(
-    suite: Dict[str, Any],
-    baseline: Dict[str, Any],
-    max_regression: float = 0.25,
-) -> List[str]:
-    """Regression check: events/sec and RPCs/sec vs a committed baseline.
-
-    Returns a list of human-readable failures (empty when within
-    tolerance).  Only rate metrics are gated — absolute wall seconds
-    vary across machines, but a >``max_regression`` drop in a rate on
-    the *same* machine family signals a real fast-path regression.
-    """
-    failures: List[str] = []
-    jobs, base_jobs = suite.get("jobs", 1), baseline.get("jobs", 1)
-    if jobs != base_jobs:
-        # Concurrent workers timeshare cores, so rates from different
-        # worker counts are not the same measurement — refuse loudly
-        # rather than produce a bogus pass or fail.
-        failures.append(
-            f"suite ran with jobs={jobs} but the baseline was recorded "
-            f"with jobs={base_jobs}; rates are not comparable — rerun "
-            "with matching --jobs or re-record the baseline"
-        )
-        return failures
-    for name in ("kernel", "rpc"):
-        current = suite["results"].get(name)
-        base = baseline.get("results", {}).get(name)
-        if not current or not base:
-            continue
-        if base["value"] <= 0:
-            continue
-        ratio = current["value"] / base["value"]
-        if ratio < 1.0 - max_regression:
-            failures.append(
-                f"{name}: {current['value']:.0f} {current['metric']} is "
-                f"{(1.0 - ratio) * 100:.1f}% below baseline {base['value']:.0f}"
-            )
-    return failures

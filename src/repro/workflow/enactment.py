@@ -15,7 +15,7 @@ from typing import Dict, Generator, List, Optional
 
 from repro.glare.model import ActivityDeployment
 from repro.simkernel.errors import OfflineError
-from repro.net.network import RpcTimeout
+from repro.net.network import RetryPolicy, RpcTimeout
 from repro.vo import VirtualOrganization
 from repro.workflow.model import ActivityNode, Workflow, WorkflowError
 from repro.workflow.scheduler import Schedule, Scheduler
@@ -121,10 +121,10 @@ class EnactmentEngine:
                 transfer_time = yield from self._stage_inputs(
                     schedule, node, deployment, result
                 )
-                outcome = yield from self.vo.network.call_with_timeout(
+                outcome = yield from self.vo.network.call(
                     self.home_site, deployment.site, "glare-rdm", "instantiate",
                     payload={"key": deployment.key, "demand": node.demand},
-                    timeout=max(60.0, node.demand * 5 + 60.0),
+                    retry=RetryPolicy.single(max(60.0, node.demand * 5 + 60.0)),
                 )
                 if outcome["exit_code"] != 0:
                     raise WorkflowError(

@@ -93,11 +93,12 @@ class TestRevalidationPoint:
 
 class TestResolutionHarness:
     def test_fingerprint_is_deterministic(self):
-        assert perf.resolution_fingerprint() == perf.resolution_fingerprint()
+        assert (perf.resolution_suite()["fingerprint"]
+                == perf.resolution_suite()["fingerprint"])
 
     def test_baseline_roundtrip_and_drift_detection(self):
         suite = perf.resolution_suite(quick=True)
-        assert perf.compare_resolution_baseline(suite, suite) == []
+        assert perf.compare_to_baseline("resolution", suite, suite) == []
         tampered = {
             "results": {"resolution": {"details": dict(
                 suite["results"]["resolution"]["details"],
@@ -106,9 +107,11 @@ class TestResolutionHarness:
             "fingerprint": dict(suite["fingerprint"],
                                 optimized_result_digest="deadbeef"),
         }
-        failures = perf.compare_resolution_baseline(suite, tampered)
-        assert any("rose" in f for f in failures)
-        assert any("fingerprint drift" in f for f in failures)
+        failures = perf.compare_to_baseline("resolution", suite, tampered)
+        assert len(failures) == 2
+        assert any("MaxRise" in f for f in failures)
+        assert any("Match fingerprint.optimized_result_digest" in f
+                   for f in failures)
 
     def test_committed_baseline_matches(self):
         """BENCH_resolution.json stays in lockstep with the code."""
@@ -120,4 +123,4 @@ class TestResolutionHarness:
         with open(path) as handle:
             baseline = json.load(handle)
         suite = perf.resolution_suite()
-        assert perf.compare_resolution_baseline(suite, baseline) == []
+        assert perf.compare_to_baseline("resolution", suite, baseline) == []

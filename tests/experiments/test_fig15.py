@@ -53,23 +53,27 @@ class TestFig15Point:
 
 class TestProvisioningHarness:
     def test_fingerprint_is_deterministic(self):
-        assert perf.provisioning_fingerprint(n_sites=8) \
-            == perf.provisioning_fingerprint(n_sites=8)
+        assert perf.provisioning_suite(n_sites=8)["fingerprint"] \
+            == perf.provisioning_suite(n_sites=8)["fingerprint"]
 
     def test_baseline_roundtrip_and_drift_detection(self):
         suite = perf.provisioning_suite(quick=True)
-        assert perf.compare_provisioning_baseline(suite, suite) == []
-        tampered = {
-            "results": {"provisioning": {"details": dict(
-                suite["results"]["provisioning"]["details"],
-                rollout_speedup=1.0,
-            )}},
-            "fingerprint": dict(suite["fingerprint"],
-                                optimized_result_digest="deadbeef"),
-        }
-        failures = perf.compare_provisioning_baseline(tampered, suite)
-        assert any("fell below" in f for f in failures)
-        assert any("fingerprint drift" in f for f in failures)
+        assert perf.compare_to_baseline("provisioning", suite, suite) == []
+        tampered = dict(
+            suite,
+            results={"provisioning": dict(
+                suite["results"]["provisioning"],
+                details=dict(suite["results"]["provisioning"]["details"],
+                             rollout_speedup=1.0),
+            )},
+            fingerprint=dict(suite["fingerprint"],
+                             optimized_result_digest="deadbeef"),
+        )
+        failures = perf.compare_to_baseline("provisioning", tampered, suite)
+        assert len(failures) == 2
+        assert any("Floor" in f and "rollout_speedup" in f for f in failures)
+        assert any("Match fingerprint.optimized_result_digest" in f
+                   for f in failures)
 
     def test_committed_baseline_matches(self):
         """BENCH_provisioning.json stays in lockstep with the code."""
@@ -81,4 +85,4 @@ class TestProvisioningHarness:
         with open(path) as handle:
             baseline = json.load(handle)
         suite = perf.provisioning_suite()
-        assert perf.compare_provisioning_baseline(suite, baseline) == []
+        assert perf.compare_to_baseline("provisioning", suite, baseline) == []

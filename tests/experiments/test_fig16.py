@@ -113,12 +113,12 @@ class TestFig16SLO:
 
 class TestFaultsHarness:
     def test_fingerprint_stable_across_runs(self):
-        first = perf.faults_fingerprint(seed=7)
-        again = perf.faults_fingerprint(seed=7)
+        first = perf.faults_suite(seed=7)["fingerprint"]
+        again = perf.faults_suite(seed=7)["fingerprint"]
         assert first == again
 
     def test_baseline_compare_flags_drift(self):
-        fingerprint = perf.faults_fingerprint(seed=7)
+        fingerprint = perf.faults_suite(seed=7)["fingerprint"]
         suite = {
             "results": {"faults": {"details": {
                 "resilient_resolution_success": 1.0,
@@ -130,7 +130,8 @@ class TestFaultsHarness:
             "fingerprint": fingerprint,
         }
         baseline = {"fingerprint": dict(fingerprint)}
-        assert perf.compare_faults_baseline(suite, baseline) == []
+        assert perf.compare_to_baseline("faults", suite, baseline) == []
         baseline["fingerprint"]["resilient_result_digest"] = "deadbeef"
-        failures = perf.compare_faults_baseline(suite, baseline)
-        assert any("resilient_result_digest" in f for f in failures)
+        failures = perf.compare_to_baseline("faults", suite, baseline)
+        assert len(failures) == 1
+        assert "resilient_result_digest" in failures[0]

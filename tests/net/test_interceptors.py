@@ -113,30 +113,6 @@ class TestCallContext:
 
 
 class TestRetryPolicy:
-    def test_single_reproduces_call_with_timeout(self):
-        """call(retry=single(T)) and legacy call_with_timeout agree."""
-        results = {}
-        for key in ("legacy", "policy"):
-            sim, net = make_net()
-            SlowService(net, "B", delay=5.0)
-
-            def client(k=key, s=sim, n=net):
-                try:
-                    if k == "legacy":
-                        yield from n.call_with_timeout(
-                            "A", "B", "slow", "work", timeout=1.0)
-                    else:
-                        yield from n.call(
-                            "A", "B", "slow", "work",
-                            retry=RetryPolicy.single(1.0))
-                except RpcTimeout as error:
-                    return (s.now, str(error))
-
-            proc = sim.process(client())
-            sim.run()
-            results[key] = proc.value
-        assert results["legacy"] == results["policy"]
-
     def test_engaged(self):
         assert not RetryPolicy().engaged
         assert RetryPolicy(attempts=2).engaged

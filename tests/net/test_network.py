@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net import Network, SecurityPolicy, Topology
-from repro.net.network import RpcTimeout, ServiceNotFound
+from repro.net.network import RetryPolicy, RpcTimeout, ServiceNotFound
 from repro.net.service import EchoService, UnknownOperation
 from repro.simkernel import Simulator
 from repro.simkernel.errors import OfflineError
@@ -145,8 +145,8 @@ class TestRpc:
 
         def client():
             try:
-                yield from net.call_with_timeout(
-                    "A", "B", "echo", "echo", timeout=0.5
+                yield from net.call(
+                    "A", "B", "echo", "echo", retry=RetryPolicy.single(0.5)
                 )
             except RpcTimeout:
                 errors.append(sim.now)
@@ -161,8 +161,9 @@ class TestRpc:
         out = {}
 
         def client():
-            out["v"] = yield from net.call_with_timeout(
-                "A", "B", "echo", "echo", payload=123, timeout=5.0
+            out["v"] = yield from net.call(
+                "A", "B", "echo", "echo", payload=123,
+                retry=RetryPolicy.single(5.0),
             )
 
         sim.process(client())

@@ -6,10 +6,11 @@ Two layers of guarantee:
   ``OrchestrationConfig()`` (no specs) runs the exact same seeded
   workload to the exact same address-normalized kernel trace, message
   totals and clock as a VO built with ``orchestration=None``;
-* **fingerprint gates** — with the config absent (every experiment's
-  default), all committed determinism fingerprints — kernel,
-  resolution, provisioning, faults, storage, workload — stay
-  byte-identical to their ``BENCH_*.json`` baselines.
+* **fingerprint gates** — every suite of the perf gate table
+  (:data:`repro.perf.SUITES`) reproduces the determinism fingerprint
+  of its committed ``BENCH_*.json`` byte for byte; all but the
+  orchestration suite run with the config absent (every experiment's
+  default).
 """
 
 import hashlib
@@ -91,15 +92,14 @@ class TestInertConfigIsInvisible:
         assert vo.reconciler.managed_types == ["Wien2k"]
 
 
-#: suites whose committed baselines pin a determinism fingerprint
-SUITES = ("resolution", "provisioning", "faults", "storage", "workload")
-
-
-@pytest.mark.parametrize("suite", SUITES)
+@pytest.mark.parametrize("suite", list(perf.SUITES))
 def test_fingerprints_match_committed_baselines(suite):
-    with (REPO_ROOT / f"BENCH_{suite}.json").open() as handle:
-        expected = json.load(handle)["fingerprint"]
-    current = getattr(perf, f"{suite}_fingerprint")()
+    row = perf.SUITES[suite]
+    with (REPO_ROOT / row.baseline).open() as handle:
+        committed = json.load(handle)
+    section = "determinism" if "determinism" in committed else "fingerprint"
+    expected = committed[section]
+    current = row.run(quick=True)[section]
     assert set(current) == set(expected)
     for key in sorted(expected):
         assert current[key] == expected[key], f"{suite}: drift in {key}"

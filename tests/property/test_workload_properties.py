@@ -22,7 +22,8 @@ from repro.load.arrivals import (
     StepRate,
 )
 from repro.load.inject import CohortInjector, NaiveInjector, quantize_ticks
-from repro.load.stats import CommutativeDigest, LatencyDigest, StreamStats
+from repro.load.stats import CommutativeDigest, StreamStats
+from repro.obs.metrics import Histogram
 from repro.simkernel import Simulator
 
 seeds = st.integers(min_value=0, max_value=2**31)
@@ -124,10 +125,10 @@ class TestDigestProperties:
     @settings(max_examples=80, deadline=None)
     def test_latency_merge_is_split_invariant(self, values, cut):
         cut = min(cut, len(values))
-        whole = LatencyDigest()
+        whole = Histogram()
         for value in values:
             whole.observe(value)
-        left, right = LatencyDigest(), LatencyDigest()
+        left, right = Histogram(), Histogram()
         for value in values[:cut]:
             left.observe(value)
         for value in values[cut:]:
