@@ -6,15 +6,17 @@ services + online flag), and processes anywhere in the model invoke
 remote operations through ``yield from network.call(...)``.
 
 Calls flow through the interceptor pipeline of
-:mod:`repro.net.interceptors` (trace, metrics, fault injection — each
-installed only when its subsystem is on) into the terminal *transport*
-stage, which charges, in order: client marshalling CPU, security
-handshake latency, request transmission (propagation +
-size/bandwidth), server-side crypto + unmarshalling CPU, the service
-handler itself (which typically executes on the server CPU), and the
-response transmission back.  This is the cost model every experiment
-in the paper's evaluation rides on.  A :class:`RetryPolicy` passed to
-:meth:`Network.call` re-runs the whole pipeline per attempt.
+:mod:`repro.net.interceptors` (trace, metrics, SLO, fault injection —
+each installed only when its subsystem is on) into the terminal
+*transport* stage, :meth:`Network._transport`, which charges, in order:
+client marshalling CPU, security handshake latency, request
+transmission (propagation + size/bandwidth), server-side crypto +
+unmarshalling CPU, the service handler itself (which typically
+executes on the server CPU), and the response transmission back.  This
+is the cost model every experiment in the paper's evaluation rides on,
+and ``_transport`` is the only code that charges it: with no layer
+installed the pipeline is that stage alone.  A :class:`RetryPolicy`
+passed to :meth:`Network.call` re-runs the whole pipeline per attempt.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.net.interceptors import (
     TraceInterceptor,
     compose,
 )
-from repro.net.message import Message, Response, estimate_size
+from repro.net.message import Message, Response
 from repro.net.topology import Topology
 from repro.net.transport import SecurityPolicy
 from repro.obs import Observability
@@ -151,9 +153,9 @@ class Network:
     def rebuild_pipeline(self) -> None:
         """(Re)compose the interceptor chain around the transport stage.
 
-        Layers are installed only when their subsystem is on, so the
-        all-off default collapses to the bare transport — the same
-        event sequence as the pre-pipeline code, byte-for-byte.
+        Layers are installed only when their subsystem is on.  With none
+        installed ``compose`` returns :meth:`_transport` itself, so the
+        all-off default runs the cost model with no layer frames at all.
         """
         layers = []
         if self.obs.enabled:
@@ -167,11 +169,6 @@ class Network:
             layers.append(FaultInterceptor(self))
         self.interceptors = layers
         self._invoke = compose(layers, self._transport)
-        # Null-chain bypass: an empty layer list implies observability is
-        # off, no SLO engine is installed and the fault plane is disabled,
-        # so :meth:`call` may skip ``CallContext`` construction and run
-        # the transport stage directly (see :meth:`_call_direct`).
-        self._bare = not layers
 
     # -- node management ---------------------------------------------------
 
@@ -212,11 +209,12 @@ class Network:
     # -- transmission ----------------------------------------------------------
 
     def _transmit(self, src: str, dst: str, size: int) -> Generator:
-        """Move ``size`` bytes: propagation + (possibly shared) bandwidth."""
+        """Move ``size`` bytes over a contended path: propagation + shared bandwidth.
+
+        Only used with ``contention=True`` between distinct sites; every
+        other leg is one inline timeout in :meth:`_transport`.
+        """
         latency, bandwidth = self.topology.path_metrics(src, dst)
-        if not self.contention or src == dst:
-            yield self.sim.timeout(latency + size / bandwidth)
-            return
         edges = self.topology.path_edges(src, dst)
         active = max((self._link_active.get(e, 0) for e in edges), default=0)
         effective = bandwidth / (active + 1)
@@ -251,25 +249,17 @@ class Network:
         application exceptions from the remote handler.  With a
         ``retry`` policy the whole pipeline is re-run per attempt
         (per-attempt timeouts raise :class:`RpcTimeout`; transient
-        errors back off and retry within the deadline budget).
+        errors back off and retry within the deadline budget).  With no
+        layer installed the pipeline *is* :meth:`_transport`.
         """
-        if self._bare and (retry is None or not retry.engaged):
-            # Fast path for the all-off default: no interceptors, no SLO
-            # engine, no engaged retry layer.  The event sequence is the
-            # same as the composed pipeline's — only the bookkeeping
-            # objects and sub-generator frames are elided — which the
-            # determinism fingerprints pin byte-for-byte.
-            value = yield from self._call_direct(
-                src, dst, service, method, payload, size, security
-            )
-            return value
         ctx = CallContext(src, dst, service, method, payload, size, security)
+        if retry is not None and retry.engaged:
+            dispatch = self._call_with_policy(ctx, retry)
+        else:
+            dispatch = self._invoke(ctx)
         engine = self.obs.slo
         if engine is None:
-            if retry is not None and retry.engaged:
-                value = yield from self._call_with_policy(ctx, retry)
-            else:
-                value = yield from self._invoke(ctx)
+            value = yield from dispatch
             return value
         # call-level SLI: one event per client-visible outcome, after
         # the whole retry loop resolved (attempt-level events come from
@@ -277,126 +267,12 @@ class Network:
         started = self.sim.now
         ok = False
         try:
-            if retry is not None and retry.engaged:
-                value = yield from self._call_with_policy(ctx, retry)
-            else:
-                value = yield from self._invoke(ctx)
+            value = yield from dispatch
             ok = True
         finally:
             engine.record(ctx.endpoint, started, self.sim.now, ok,
                           level=SLO_CALL_LEVEL)
         return value
-
-    def _call_direct(
-        self,
-        src: str,
-        dst: str,
-        service: str,
-        method: str,
-        payload: Any,
-        size: int,
-        security: Optional[SecurityPolicy],
-    ) -> Generator:
-        """One remote call with the null pipeline fully inlined.
-
-        Only reachable when the interceptor chain is empty (which
-        implies tracing, metrics, SLOs and the fault plane are all off)
-        and no retry layer is engaged.  The cost model — marshalling,
-        handshake, both transmissions, dispatch — is charged in exactly
-        the order :meth:`_transport` and its helpers use, so the event
-        sequence (and therefore every determinism fingerprint) is
-        byte-identical; the saving is purely interpreter-side:
-        no ``CallContext``, no composed-chain frame, and the helper
-        sub-generators (`_client_marshal`/`_security_handshake`/
-        `_server_unmarshal`/`_serve`/`_send_response`/`_transmit`)
-        collapse into this one frame.
-        """
-        sim = self.sim
-        policy = security if security is not None else self.security
-        src_node = self.node(src)
-        dst_node = self.node(dst)
-        if not src_node.online:
-            raise OfflineError(f"source node {src!r} is offline")
-
-        message = Message(
-            src=src,
-            dst=dst,
-            service=service,
-            method=method,
-            payload=payload,
-            size=size,
-            secure=policy.enabled,
-        )
-        msize = message.size
-        latency, bandwidth = self.topology.path_metrics(src, dst)
-        contended = self.contention and src != dst
-
-        # client-side marshalling + crypto (one co-scheduled CPU grant)
-        demand = self.marshal_cpu_per_kb * (msize / 1024.0)
-        demand += policy.client_cpu_demand(msize)
-        if demand > 0:
-            yield from src_node.cpu.execute(demand)
-
-        handshake = policy.handshake_latency(2.0 * latency)
-        if handshake > 0:
-            yield sim.timeout(handshake)
-
-        # request transmission
-        if contended:
-            yield from self._transmit(src, dst, msize)
-        else:
-            yield sim.timeout(latency + msize / bandwidth)
-        self.total_messages += 1
-        self.total_bytes += msize
-        src_node.messages_out += 1
-        src_node.bytes_out += msize
-
-        if not dst_node.online:
-            # the connection attempt times out
-            yield sim.timeout(self.connect_fail_delay)
-            raise OfflineError(f"target node {dst!r} is offline")
-
-        dst_node.messages_in += 1
-        dst_node.bytes_in += msize
-
-        # server-side crypto + unmarshalling
-        demand = self.marshal_cpu_per_kb * (msize / 1024.0)
-        demand += policy.server_cpu_demand(msize)
-        if demand > 0:
-            yield from dst_node.cpu.execute(demand)
-
-        # dispatch (fault rules re-checked dynamically, like _serve)
-        handler = dst_node.service(service)
-        if self.faults.enabled:  # pragma: no cover - bare chain ⇒ disabled
-            injected = self.faults.service_fault(
-                CallContext(src, dst, service, method, payload, size, security)
-            )
-            if injected is not None:
-                raise injected
-        dst_node.inflight_rpcs += 1
-        try:
-            result = yield from handler.dispatch(method, message)
-        finally:
-            dst_node.inflight_rpcs -= 1
-        response = result if isinstance(result, Response) else Response(value=result)
-
-        # crypto on the response body + the return transmission
-        resp_crypto = policy.server_cpu_demand(response.size) - policy.server_cpu_demand(0)
-        if resp_crypto > 0:
-            yield from dst_node.cpu.execute(resp_crypto)
-        rsize = response.size
-        if contended:
-            yield from self._transmit(dst, src, rsize)
-        else:
-            latency, bandwidth = self.topology.path_metrics(dst, src)
-            yield sim.timeout(latency + rsize / bandwidth)
-        self.total_messages += 1
-        self.total_bytes += rsize
-        dst_node.messages_out += 1
-        dst_node.bytes_out += rsize
-        src_node.messages_in += 1
-        src_node.bytes_in += rsize
-        return response.value
 
     # -- retry layer -----------------------------------------------------------
 
@@ -449,12 +325,8 @@ class Network:
         The in-flight call is interrupted when the deadline passes so
         it does not linger.
         """
-
-        def _runner() -> Generator:
-            value = yield from self._invoke(ctx)
-            return value
-
-        proc = self.sim.process(_runner(), name=f"rpc:{ctx.service}.{ctx.method}")
+        proc = self.sim.process(self._invoke(ctx),
+                                name=f"rpc:{ctx.service}.{ctx.method}")
         deadline = self.sim.timeout(timeout)
         yield self.sim.any_of([proc, deadline])
         if proc.triggered:
@@ -474,88 +346,83 @@ class Network:
     # -- terminal transport stage ------------------------------------------------
 
     def _transport(self, ctx: CallContext) -> Generator:
-        """Marshalling, security, wire transfer and dispatch for one attempt."""
+        """Marshalling, security, wire transfer and dispatch for one attempt.
+
+        The one place the RPC cost model is charged, as one flat frame:
+        client marshal + crypto CPU, handshake, request leg, server
+        crypto + unmarshal CPU, dispatch, response crypto, response leg.
+        Uncontended legs are a single timeout; contended ones go through
+        :meth:`_transmit`.
+        """
+        sim = self.sim
+        obs = self.obs
+        src, dst = ctx.src, ctx.dst
         policy = ctx.security if ctx.security is not None else self.security
-        src_node = self.node(ctx.src)
-        dst_node = self.node(ctx.dst)
+        src_node = self.node(src)
+        dst_node = self.node(dst)
         if not src_node.online:
-            raise OfflineError(f"source node {ctx.src!r} is offline")
+            raise OfflineError(f"source node {src!r} is offline")
 
         message = Message(
-            src=ctx.src,
-            dst=ctx.dst,
+            src=src,
+            dst=dst,
             service=ctx.service,
             method=ctx.method,
             payload=ctx.payload,
             size=ctx.size,
             secure=policy.enabled,
         )
-        if self.obs.enabled:
+        if obs.enabled:
             # inject the caller's span identity into the envelope (the
             # simulated ``traceparent`` header)
-            message.trace_ctx = self.obs.tracer.current_context()
-        latency, _ = self.topology.path_metrics(ctx.src, ctx.dst)
+            message.trace_ctx = obs.tracer.current_context()
+        msize = message.size
+        latency, bandwidth = self.topology.path_metrics(src, dst)
+        contended = self.contention and src != dst
 
-        yield from self._client_marshal(message, policy, src_node)
-        yield from self._security_handshake(policy, 2.0 * latency)
-
-        # request transmission
-        yield from self._transmit(ctx.src, ctx.dst, message.size)
-        self.total_messages += 1
-        self.total_bytes += message.size
-        src_node.messages_out += 1
-        src_node.bytes_out += message.size
-
-        if not dst_node.online:
-            # the connection attempt times out
-            yield self.sim.timeout(self.connect_fail_delay)
-            raise OfflineError(f"target node {ctx.dst!r} is offline")
-
-        dst_node.messages_in += 1
-        dst_node.bytes_in += message.size
-
-        yield from self._server_unmarshal(message, policy, dst_node)
-        result = yield from self._serve(ctx, message, dst_node)
-        response = result if isinstance(result, Response) else Response(value=result)
-        yield from self._send_response(ctx, response, policy, src_node, dst_node)
-        return response.value
-
-    def _client_marshal(self, message: Message, policy: SecurityPolicy,
-                        src_node: NodeRuntime) -> Generator:
-        """Client-side marshalling + crypto share.
-
-        The two demands are co-scheduled as one CPU grant: they belong
-        to the same send path, and splitting them would change FCFS
-        ordering under load.
-        """
-        demand = self.marshal_cpu_per_kb * (message.size / 1024.0)
-        demand += policy.client_cpu_demand(message.size)
+        # client-side marshalling + crypto: one co-scheduled CPU grant
+        # (they share the send path; splitting them would change FCFS
+        # ordering under load)
+        demand = self.marshal_cpu_per_kb * (msize / 1024.0)
+        demand += policy.client_cpu_demand(msize)
         if demand > 0:
             yield from src_node.cpu.execute(demand)
 
-    def _security_handshake(self, policy: SecurityPolicy, rtt: float) -> Generator:
-        """Transport security handshake latency (TLS round trips)."""
-        handshake = policy.handshake_latency(rtt)
+        # transport security handshake (TLS round trips)
+        handshake = policy.handshake_latency(2.0 * latency)
         if handshake > 0:
-            yield self.sim.timeout(handshake)
+            yield sim.timeout(handshake)
 
-    def _server_unmarshal(self, message: Message, policy: SecurityPolicy,
-                          dst_node: NodeRuntime) -> Generator:
-        """Server-side crypto + unmarshalling (one co-scheduled grant)."""
-        demand = self.marshal_cpu_per_kb * (message.size / 1024.0)
-        demand += policy.server_cpu_demand(message.size)
+        # request transmission
+        if contended:
+            yield from self._transmit(src, dst, msize)
+        else:
+            yield sim.timeout(latency + msize / bandwidth)
+        self.total_messages += 1
+        self.total_bytes += msize
+        src_node.messages_out += 1
+        src_node.bytes_out += msize
+
+        if not dst_node.online:
+            # the connection attempt times out
+            yield sim.timeout(self.connect_fail_delay)
+            raise OfflineError(f"target node {dst!r} is offline")
+
+        dst_node.messages_in += 1
+        dst_node.bytes_in += msize
+
+        # server-side crypto + unmarshalling (one co-scheduled grant)
+        demand = self.marshal_cpu_per_kb * (msize / 1024.0)
+        demand += policy.server_cpu_demand(msize)
         if demand > 0:
             yield from dst_node.cpu.execute(demand)
 
-    def _serve(self, ctx: CallContext, message: Message,
-               dst_node: NodeRuntime) -> Generator:
-        """Dispatch to the handler (fault rules, inflight gauge, server span)."""
+        # dispatch: fault rules, inflight gauge, server span
         handler = dst_node.service(ctx.service)
         if self.faults.enabled:
             injected = self.faults.service_fault(ctx)
             if injected is not None:
                 raise injected
-        obs = self.obs
         dst_node.inflight_rpcs += 1
         try:
             if obs.enabled:
@@ -568,35 +435,32 @@ class Network:
                 if obs.tracer.current_context() is None:
                     parent = message.trace_ctx
                 with obs.tracer.span(
-                    f"serve:{ctx.service}.{ctx.method}", parent=parent, site=ctx.dst
+                    f"serve:{ctx.service}.{ctx.method}", parent=parent, site=dst
                 ):
                     result = yield from handler.dispatch(ctx.method, message)
             else:
                 result = yield from handler.dispatch(ctx.method, message)
         finally:
             dst_node.inflight_rpcs -= 1
-        return result
+        response = result if isinstance(result, Response) else Response(value=result)
 
-    def _send_response(self, ctx: CallContext, response: Response,
-                       policy: SecurityPolicy, src_node: NodeRuntime,
-                       dst_node: NodeRuntime) -> Generator:
-        """Crypto on the response body + the return transmission."""
+        # crypto on the response body + the return transmission
         resp_crypto = policy.server_cpu_demand(response.size) - policy.server_cpu_demand(0)
         if resp_crypto > 0:
             yield from dst_node.cpu.execute(resp_crypto)
-
-        yield from self._transmit(ctx.dst, ctx.src, response.size)
+        rsize = response.size
+        if contended:
+            yield from self._transmit(dst, src, rsize)
+        else:
+            latency, bandwidth = self.topology.path_metrics(dst, src)
+            yield sim.timeout(latency + rsize / bandwidth)
         self.total_messages += 1
-        self.total_bytes += response.size
+        self.total_bytes += rsize
         dst_node.messages_out += 1
-        dst_node.bytes_out += response.size
+        dst_node.bytes_out += rsize
         src_node.messages_in += 1
-        src_node.bytes_in += response.size
-
-
-def payload_size(payload: Any) -> int:
-    """Public re-export of the size estimator (see :mod:`repro.net.message`)."""
-    return estimate_size(payload)
+        src_node.bytes_in += rsize
+        return response.value
 
 
 __all__ = [
@@ -607,5 +471,4 @@ __all__ = [
     "RetryPolicy",
     "RpcTimeout",
     "ServiceNotFound",
-    "payload_size",
 ]

@@ -409,3 +409,81 @@ class TestDispatchCounters:
         sim.run()
         assert seen == [1]
         assert net.node("B").inflight_rpcs == 0
+
+
+class TestInterceptorsKeepTheCostModel:
+    """Installing layers adds bookkeeping, never simulated time or traffic."""
+
+    SITES = ("A", "B", "C", "D")
+    # (start, src, dst, security, payload bytes, retry)
+    MIX = (
+        (0.0, "A", "B", "http", 10, None),
+        (0.0, "A", "B", "https", 300_000, None),
+        (0.0, "C", "B", "http", 120_000, None),
+        (0.0, "B", "B", "https", 4_000, None),        # loopback
+        (0.1, "A", "D", "http", 1_000, None),         # offline target
+        (0.2, "C", "A", "https", 50_000, RetryPolicy.single(10.0)),
+        (0.2, "A", "C", "https", 10, None),
+        (0.3, "B", "A", "http", 250_000, None),
+    )
+
+    def _run(self, setup, contention):
+        from repro.faults import FaultPlane, FaultsConfig, PartitionSpec
+        from repro.net.transport import SecurityPolicy
+        from repro.obs import Observability
+        from repro.obs.slo import SLOSpec
+
+        sim = Simulator(seed=7)
+        topo = Topology.full_mesh(self.SITES, latency=0.01, bandwidth=1e6)
+        kwargs = {}
+        if setup == "obs":
+            kwargs["obs"] = Observability(enabled=True)
+        elif setup == "slo":
+            kwargs["obs"] = Observability(enabled=True, slos=(
+                SLOSpec(name="echo", endpoint="echo.echo"),))
+        elif setup == "faults":
+            # a partition that opens only after the run has ended
+            kwargs["faults"] = FaultPlane(sim, FaultsConfig(partitions=(
+                PartitionSpec(start=1e6, end=2e6, group=("D",)),)))
+        net = Network(sim, topo, contention=contention, **kwargs)
+        assert bool(net.interceptors) == (setup != "default")
+        for site in self.SITES:
+            net.add_node(site, cores=1)
+            EchoService(net, site)
+        net.set_online("D", False)
+        outcomes = {}
+
+        def client(index, start, src, dst, security, nbytes, retry):
+            yield sim.timeout(start)
+            policy = getattr(SecurityPolicy, security)()
+            try:
+                value = yield from net.call(src, dst, "echo", "echo",
+                                            payload="x" * nbytes,
+                                            security=policy, retry=retry)
+                outcome = ("ok", len(value))
+            except OfflineError as error:  # the offline call is part of the mix
+                outcome = ("error", type(error).__name__)
+            outcomes[index] = (outcome, sim.now)
+
+        for index, spec in enumerate(self.MIX):
+            sim.process(client(index, *spec))
+        sim.run(until=1000.0)
+        counters = {
+            name: (node.messages_in, node.messages_out,
+                   node.bytes_in, node.bytes_out, node.inflight_rpcs)
+            for name, node in net.nodes.items()
+        }
+        return outcomes, (net.total_messages, net.total_bytes), counters
+
+    @pytest.mark.parametrize("contention", [False, True])
+    def test_layers_leave_timings_and_traffic_unchanged(self, contention):
+        runs = {setup: self._run(setup, contention)
+                for setup in ("default", "obs", "slo", "faults")}
+        baseline = runs["default"]
+        outcomes, _, counters = baseline
+        assert len(outcomes) == len(self.MIX)
+        assert outcomes[4][0] == ("error", "OfflineError")
+        assert all(outcomes[i][0][0] == "ok" for i in outcomes if i != 4)
+        assert all(state[-1] == 0 for state in counters.values())
+        for setup, run in runs.items():
+            assert run == baseline, setup
